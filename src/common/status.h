@@ -13,7 +13,9 @@
 namespace msq {
 
 /// Outcome of a fallible operation. Cheap to copy when OK (no allocation).
-class Status {
+/// [[nodiscard]]: dropping a returned Status on the floor is a warning
+/// (an error under MSQ_WERROR), so an I/O failure cannot vanish silently.
+class [[nodiscard]] Status {
  public:
   enum class Code {
     kOk = 0,
@@ -99,7 +101,7 @@ class Status {
 
 /// Either a value of type T or a non-OK Status explaining its absence.
 template <typename T>
-class StatusOr {
+class [[nodiscard]] StatusOr {
  public:
   // NOLINTNEXTLINE(google-explicit-constructor): implicit by design, like
   // absl::StatusOr, so `return value;` and `return status;` both work.

@@ -55,11 +55,11 @@ class CandidateStream {
 
 /// A database organization that can answer similarity queries page-wise.
 ///
-/// Object vectors are accessible in memory (`ObjectVec`) — the simulated
-/// storage charges I/O through ReadPage instead of actually materializing
-/// bytes. Directory structures of tree backends are assumed memory-resident
-/// (their upper levels are buffer-resident in any realistic deployment);
-/// I/O accounting covers data pages, the dominant term.
+/// Object vectors are accessible in memory (`ObjectVec`); page reads go
+/// through ReadPageBlock, the one place page I/O is charged. Directory
+/// structures of tree backends are assumed memory-resident (their upper
+/// levels are buffer-resident in any realistic deployment); I/O accounting
+/// covers data pages, the dominant term.
 class QueryBackend {
  public:
   virtual ~QueryBackend() = default;
@@ -80,44 +80,16 @@ class QueryBackend {
   virtual double PageMinDist(PageId page, const Query& q,
                              QueryStats* stats) = 0;
 
-  /// Objects stored on `page`; charges the page access (buffer pool, then
-  /// sequential/random disk read) to `stats`.
-  virtual const std::vector<ObjectId>& ReadPage(PageId page,
-                                                QueryStats* stats) = 0;
-
-  /// Fallible page read: the engines' entry point. The simulated storage of
-  /// the stock backends cannot fail, so the default delegates to ReadPage
-  /// and always succeeds; fault-injecting decorators (robust/) override
-  /// this to surface IOError for crashed servers and flaky page reads.
-  /// On success the pointee is owned by the backend (same lifetime rules
-  /// as ReadPage's reference).
-  virtual StatusOr<const std::vector<ObjectId>*> ReadPageChecked(
-      PageId page, QueryStats* stats) {
-    return &ReadPage(page, stats);
-  }
-
-  /// Fallible page read returning a contiguous PageBlock view — the page
-  /// kernel's entry point. The default gathers the page's vectors through
-  /// ReadPageChecked + ObjectVec into backend-owned scratch (correct for
-  /// any backend, one row copy per object); backends whose DataLayout has
-  /// materialized rows override this to hand out their contiguous storage
-  /// directly. The view is valid until the next call on this backend.
-  virtual Status ReadPageBlockChecked(PageId page, QueryStats* stats,
-                                      PageBlock* out) {
-    auto read = ReadPageChecked(page, stats);
-    if (!read.ok()) return read.status();
-    const std::vector<ObjectId>& objects = **read;
-    const size_t dim = objects.empty() ? 0 : ObjectVec(objects[0]).size();
-    gather_rows_.clear();
-    gather_rows_.reserve(objects.size() * dim);
-    for (ObjectId id : objects) {
-      const Vec& v = ObjectVec(id);
-      gather_rows_.insert(gather_rows_.end(), v.begin(), v.end());
-    }
-    out->ids = objects.data();
-    out->vecs = VecBlock{gather_rows_.data(), dim, objects.size()};
-    return Status::OK();
-  }
+  /// Reads `page` as a contiguous PageBlock view — the engines' one
+  /// page-read entry point. Charges the page access (buffer pool, then
+  /// sequential/random disk read) to `stats`. Fails with InvalidArgument
+  /// for an out-of-range page and with the store's error (IOError,
+  /// Corruption) when a persistent page read fails; fault-injecting
+  /// decorators (robust/) also fail it for crashed servers and flaky
+  /// reads. The view is owned by the backend and valid until the next
+  /// call on it.
+  virtual Status ReadPageBlock(PageId page, QueryStats* stats,
+                               PageBlock* out) = 0;
 
   virtual size_t NumDataPages() const = 0;
   virtual size_t NumObjects() const = 0;
@@ -154,16 +126,11 @@ class QueryBackend {
   virtual DataLayout* MutableLayout() { return nullptr; }
 
   /// Serializes the backend's index structure (not the data pages — those
-  /// are the layout's) to `out`, in the same tagged format the standalone
-  /// Save(path) methods use. Default: not supported.
+  /// are the layout's) to `out`, in the tree backends' SaveTo format.
+  /// Default: not supported.
   virtual Status SaveIndex(std::ostream& /*out*/) {
     return Status::NotSupported("backend cannot serialize its index");
   }
-
- protected:
-  /// Scratch for the default ReadPageBlockChecked gather; reused across
-  /// calls so steady-state block reads allocate nothing.
-  std::vector<Scalar> gather_rows_;
 };
 
 }  // namespace msq

@@ -325,10 +325,10 @@ Status MultiQueryEngine::ExecuteInternal(std::span<const Query> queries,
       Status read;
       if (attribute) {
         WallTimer io_timer;
-        read = backend_->ReadPageBlockChecked(page, stats, &block);
+        read = backend_->ReadPageBlock(page, stats, &block);
         stats->attr_page_io_micros += io_timer.ElapsedMicros();
       } else {
-        read = backend_->ReadPageBlockChecked(page, stats, &block);
+        read = backend_->ReadPageBlock(page, stats, &block);
       }
       if (!read.ok()) {
         // A failed read must not leave the page accounted: it was neither

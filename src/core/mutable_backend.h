@@ -121,12 +121,7 @@ class MutableBackend : public QueryBackend {
   std::unique_ptr<CandidateStream> OpenStream(const Query& query,
                                               QueryStats* stats) override;
   double PageMinDist(PageId page, const Query& q, QueryStats* stats) override;
-  const std::vector<ObjectId>& ReadPage(PageId page,
-                                        QueryStats* stats) override;
-  StatusOr<const std::vector<ObjectId>*> ReadPageChecked(
-      PageId page, QueryStats* stats) override;
-  Status ReadPageBlockChecked(PageId page, QueryStats* stats,
-                              PageBlock* out) override;
+  Status ReadPageBlock(PageId page, QueryStats* stats, PageBlock* out) override;
   size_t NumDataPages() const override {
     const auto& v = View();
     return v->base->NumDataPages() + v->num_delta_pages();
@@ -179,6 +174,7 @@ class MutableBackend : public QueryBackend {
   std::shared_ptr<const LiveVersion> active_;
   mutable std::shared_ptr<const LiveVersion> fallback_;
   std::vector<ObjectId> scratch_ids_;
+  std::vector<Scalar> scratch_rows_;
 
   const obs::MetricsSink* sink_ = nullptr;
 };

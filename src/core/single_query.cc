@@ -39,7 +39,7 @@ StatusOr<AnswerSet> ExecuteSingleQuery(QueryBackend* backend,
   // `Next(QueryDist(), ...)` realizes prune_pages: pages whose lower bound
   // exceeds the adapted query distance are never read.
   while (stream->Next(answers.QueryDist(), &candidate)) {
-    Status read = backend->ReadPageBlockChecked(candidate.page, stats, &block);
+    Status read = backend->ReadPageBlock(candidate.page, stats, &block);
     if (!read.ok()) return read;
     // One query, no avoidance cache: the kernel runs one dense batched
     // evaluation per page — same distances and counts as the per-object

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <queue>
 
@@ -420,22 +419,6 @@ Status MTreeBackend::SaveTo(std::ostream& out) {
   return Status::OK();
 }
 
-Status MTreeBackend::Save(const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  MSQ_RETURN_IF_ERROR(SaveTo(out));
-  if (!out) return Status::IOError("write failed for " + path);
-  return Status::OK();
-}
-
-StatusOr<std::unique_ptr<MTreeBackend>> MTreeBackend::Load(
-    const std::string& path, std::shared_ptr<const Dataset> dataset,
-    std::shared_ptr<const Metric> metric, const MTreeOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  return LoadFrom(in, std::move(dataset), std::move(metric), options);
-}
-
 StatusOr<std::unique_ptr<MTreeBackend>> MTreeBackend::LoadFrom(
     std::istream& in, std::shared_ptr<const Dataset> dataset,
     std::shared_ptr<const Metric> metric, const MTreeOptions& options) {
@@ -705,24 +688,10 @@ double MTreeBackend::PageMinDist(PageId page, const Query& q,
   return std::max(0.0, d - node.radius);
 }
 
-const std::vector<ObjectId>& MTreeBackend::ReadPage(PageId page,
-                                                    QueryStats* stats) {
+Status MTreeBackend::ReadPageBlock(PageId page, QueryStats* stats,
+                                   PageBlock* out) {
   if (!finalized_) Finalize();
-  return layout_.Read(page, stats);
-}
-
-StatusOr<const std::vector<ObjectId>*> MTreeBackend::ReadPageChecked(
-    PageId page, QueryStats* stats) {
-  if (!finalized_) Finalize();
-  const std::vector<ObjectId>* out = nullptr;
-  MSQ_RETURN_IF_ERROR(layout_.TryRead(page, stats, &out));
-  return out;
-}
-
-Status MTreeBackend::ReadPageBlockChecked(PageId page, QueryStats* stats,
-                                          PageBlock* out) {
-  if (!finalized_) Finalize();
-  return layout_.TryReadBlock(page, stats, out);
+  return layout_.ReadBlock(page, stats, out);
 }
 
 DataLayout* MTreeBackend::MutableLayout() {

@@ -84,23 +84,15 @@ class MTreeBackend : public QueryBackend {
   /// Inserts one dataset object.
   Status Insert(ObjectId id);
 
-  /// Persists the index structure (routing objects, radii, parent
-  /// distances — not the objects themselves) to a binary file.
-  Status Save(const std::string& path);
-
-  /// Serializes the index structure to a stream (the format behind Save;
-  /// also what the single-file page store embeds as its "index" object).
+  /// Serializes the index structure (routing objects, radii, parent
+  /// distances — not the objects themselves) to a stream; the single-file
+  /// page store embeds it as its "index" object (MetricDatabase::Save).
   Status SaveTo(std::ostream& out);
 
-  /// Restores an index saved with Save. The dataset (and metric!) must be
-  /// the ones the index was built with; size and dimensionality are
-  /// verified, and CheckInvariants re-validates the covering radii under
-  /// the supplied metric.
-  static StatusOr<std::unique_ptr<MTreeBackend>> Load(
-      const std::string& path, std::shared_ptr<const Dataset> dataset,
-      std::shared_ptr<const Metric> metric, const MTreeOptions& options);
-
-  /// Stream counterpart of Load.
+  /// Restores an index serialized with SaveTo. The dataset (and metric!)
+  /// must be the ones the index was built with; size and dimensionality
+  /// are verified, and CheckInvariants re-validates the covering radii
+  /// under the supplied metric.
   static StatusOr<std::unique_ptr<MTreeBackend>> LoadFrom(
       std::istream& in, std::shared_ptr<const Dataset> dataset,
       std::shared_ptr<const Metric> metric, const MTreeOptions& options);
@@ -110,12 +102,7 @@ class MTreeBackend : public QueryBackend {
   std::unique_ptr<CandidateStream> OpenStream(const Query& query,
                                               QueryStats* stats) override;
   double PageMinDist(PageId page, const Query& q, QueryStats* stats) override;
-  const std::vector<ObjectId>& ReadPage(PageId page,
-                                        QueryStats* stats) override;
-  StatusOr<const std::vector<ObjectId>*> ReadPageChecked(
-      PageId page, QueryStats* stats) override;
-  Status ReadPageBlockChecked(PageId page, QueryStats* stats,
-                              PageBlock* out) override;
+  Status ReadPageBlock(PageId page, QueryStats* stats, PageBlock* out) override;
   DataLayout* MutableLayout() override;
   Status SaveIndex(std::ostream& out) override;
   size_t NumDataPages() const override;

@@ -184,8 +184,8 @@ FaultInjectingBackend::FaultInjectingBackend(
       owned_(std::move(inner)),
       injector_(std::move(injector)) {}
 
-StatusOr<const std::vector<ObjectId>*> FaultInjectingBackend::ReadPageChecked(
-    PageId page, QueryStats* stats) {
+Status FaultInjectingBackend::ReadPageBlock(PageId page, QueryStats* stats,
+                                            PageBlock* out) {
   Status st = injector_->OnPageRead(page);
   if (!st.ok()) {
     // The seek was attempted: charge it, and leave the simulated head
@@ -193,18 +193,7 @@ StatusOr<const std::vector<ObjectId>*> FaultInjectingBackend::ReadPageChecked(
     inner_->NoteFailedRead(stats);
     return st;
   }
-  return inner_->ReadPageChecked(page, stats);
-}
-
-Status FaultInjectingBackend::ReadPageBlockChecked(PageId page,
-                                                   QueryStats* stats,
-                                                   PageBlock* out) {
-  Status st = injector_->OnPageRead(page);
-  if (!st.ok()) {
-    inner_->NoteFailedRead(stats);
-    return st;
-  }
-  return inner_->ReadPageBlockChecked(page, stats, out);
+  return inner_->ReadPageBlock(page, stats, out);
 }
 
 }  // namespace msq::robust

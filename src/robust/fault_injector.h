@@ -9,9 +9,9 @@
 // the same workload inject exactly the same faults, so fault-tolerance
 // tests assert exact outcomes instead of sleeping and hoping.
 //
-// FaultInjectingBackend wraps any QueryBackend; the engines reach it only
-// through QueryBackend::ReadPageChecked, so a backend without the decorator
-// pays nothing (the default ReadPageChecked inlines to ReadPage).
+// FaultInjectingBackend wraps any QueryBackend and intercepts its one page
+// read, QueryBackend::ReadPageBlock; a backend without the decorator pays
+// nothing for it.
 
 #ifndef MSQ_ROBUST_FAULT_INJECTOR_H_
 #define MSQ_ROBUST_FAULT_INJECTOR_H_
@@ -141,7 +141,7 @@ class FaultInjector {
   obs::Counter* fsync_faults_ = nullptr;
 };
 
-/// QueryBackend decorator routing every checked page read through a
+/// QueryBackend decorator routing every page read through a
 /// FaultInjector. All other operations delegate unchanged; with the
 /// injector quiescent (no crash, zero rates, nothing scripted) the wrapped
 /// backend answers queries identically to the bare one (bench/micro_robust
@@ -163,14 +163,7 @@ class FaultInjectingBackend : public QueryBackend {
   double PageMinDist(PageId page, const Query& q, QueryStats* stats) override {
     return inner_->PageMinDist(page, q, stats);
   }
-  const std::vector<ObjectId>& ReadPage(PageId page,
-                                        QueryStats* stats) override {
-    return inner_->ReadPage(page, stats);
-  }
-  StatusOr<const std::vector<ObjectId>*> ReadPageChecked(
-      PageId page, QueryStats* stats) override;
-  Status ReadPageBlockChecked(PageId page, QueryStats* stats,
-                              PageBlock* out) override;
+  Status ReadPageBlock(PageId page, QueryStats* stats, PageBlock* out) override;
   size_t NumDataPages() const override { return inner_->NumDataPages(); }
   size_t NumObjects() const override { return inner_->NumObjects(); }
   const Vec& ObjectVec(ObjectId id) const override {

@@ -58,27 +58,15 @@ class DataLayout {
   /// True once MaterializeRows has run for the current page map.
   bool has_rows() const { return !row_data_.empty() || pages_.empty(); }
 
-  /// Objects stored on `page`. Charges the access (buffer hit or disk read)
-  /// to `stats`.
-  const std::vector<ObjectId>& Read(PageId page, QueryStats* stats);
-
-  /// Contiguous view of `page` (requires MaterializeRows). Charges the
-  /// access exactly like Read — one page access, whether the caller takes
-  /// the id list or the packed rows.
-  void ReadBlock(PageId page, QueryStats* stats, PageBlock* out);
-
-  /// Fallible read: like Read, but when a persistent store is attached the
-  /// page payload comes from a real positioned read whose failure (I/O
-  /// error, checksum mismatch) is surfaced instead of asserted away. On
-  /// failure the page is NOT left resident in the buffer pool — a retry is
-  /// a true miss that re-reads. Without a store this is Read() and always
-  /// succeeds.
-  Status TryRead(PageId page, QueryStats* stats,
-                 const std::vector<ObjectId>** out);
-
-  /// Fallible counterpart of ReadBlock, same store semantics as TryRead.
-  /// The returned view is valid until the next read on this layout.
-  Status TryReadBlock(PageId page, QueryStats* stats, PageBlock* out);
+  /// Contiguous view of `page` (requires MaterializeRows); the layout's one
+  /// read path. Charges one page access (buffer hit or disk read) to
+  /// `stats`. An out-of-range page is InvalidArgument. When a persistent
+  /// store is attached the payload comes from a real positioned read whose
+  /// failure (I/O error, checksum mismatch) is returned; on failure the
+  /// page is NOT left resident in the buffer pool — a retry is a true miss
+  /// that re-reads — and the failed seek is charged to the disk model. The
+  /// view is valid until the next read on this layout.
+  Status ReadBlock(PageId page, QueryStats* stats, PageBlock* out);
 
   /// Writes every page's payload (ids + packed rows) as extents of `store`
   /// plus a "pages" directory object mapping page ids to extents. Requires

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <queue>
 
@@ -473,22 +472,6 @@ Status XTreeBackend::SaveTo(std::ostream& out) {
   return Status::OK();
 }
 
-Status XTreeBackend::Save(const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  MSQ_RETURN_IF_ERROR(SaveTo(out));
-  if (!out) return Status::IOError("write failed for " + path);
-  return Status::OK();
-}
-
-StatusOr<std::unique_ptr<XTreeBackend>> XTreeBackend::Load(
-    const std::string& path, std::shared_ptr<const Dataset> dataset,
-    std::shared_ptr<const Metric> metric, const XTreeOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  return LoadFrom(in, std::move(dataset), std::move(metric), options);
-}
-
 StatusOr<std::unique_ptr<XTreeBackend>> XTreeBackend::LoadFrom(
     std::istream& in, std::shared_ptr<const Dataset> dataset,
     std::shared_ptr<const Metric> metric, const XTreeOptions& options) {
@@ -848,24 +831,10 @@ double XTreeBackend::PageMinDist(PageId page, const Query& q,
   return nodes_[page_to_node_[page]].mbr.MinDist(q.point, *box_metric_);
 }
 
-const std::vector<ObjectId>& XTreeBackend::ReadPage(PageId page,
-                                                    QueryStats* stats) {
+Status XTreeBackend::ReadPageBlock(PageId page, QueryStats* stats,
+                                   PageBlock* out) {
   if (!finalized_) Finalize();
-  return layout_.Read(page, stats);
-}
-
-StatusOr<const std::vector<ObjectId>*> XTreeBackend::ReadPageChecked(
-    PageId page, QueryStats* stats) {
-  if (!finalized_) Finalize();
-  const std::vector<ObjectId>* out = nullptr;
-  MSQ_RETURN_IF_ERROR(layout_.TryRead(page, stats, &out));
-  return out;
-}
-
-Status XTreeBackend::ReadPageBlockChecked(PageId page, QueryStats* stats,
-                                          PageBlock* out) {
-  if (!finalized_) Finalize();
-  return layout_.TryReadBlock(page, stats, out);
+  return layout_.ReadBlock(page, stats, out);
 }
 
 DataLayout* XTreeBackend::MutableLayout() {

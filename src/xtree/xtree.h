@@ -80,21 +80,13 @@ class XTreeBackend : public QueryBackend {
   /// tree re-finalizes its page layout lazily before the next query.
   Status Insert(ObjectId id);
 
-  /// Persists the index structure (not the objects — those live in the
-  /// dataset) to a binary file.
-  Status Save(const std::string& path);
-
-  /// Serializes the index structure to a stream (the format behind Save;
-  /// also what the single-file page store embeds as its "index" object).
+  /// Serializes the index structure (not the objects — those live in the
+  /// dataset) to a stream; the single-file page store embeds it as its
+  /// "index" object (MetricDatabase::Save).
   Status SaveTo(std::ostream& out);
 
-  /// Restores an index saved with Save. The dataset must be the one the
-  /// index was built over (size and dimensionality are verified).
-  static StatusOr<std::unique_ptr<XTreeBackend>> Load(
-      const std::string& path, std::shared_ptr<const Dataset> dataset,
-      std::shared_ptr<const Metric> metric, const XTreeOptions& options);
-
-  /// Stream counterpart of Load.
+  /// Restores an index serialized with SaveTo. The dataset must be the one
+  /// the index was built over (size and dimensionality are verified).
   static StatusOr<std::unique_ptr<XTreeBackend>> LoadFrom(
       std::istream& in, std::shared_ptr<const Dataset> dataset,
       std::shared_ptr<const Metric> metric, const XTreeOptions& options);
@@ -104,12 +96,7 @@ class XTreeBackend : public QueryBackend {
   std::unique_ptr<CandidateStream> OpenStream(const Query& query,
                                               QueryStats* stats) override;
   double PageMinDist(PageId page, const Query& q, QueryStats* stats) override;
-  const std::vector<ObjectId>& ReadPage(PageId page,
-                                        QueryStats* stats) override;
-  StatusOr<const std::vector<ObjectId>*> ReadPageChecked(
-      PageId page, QueryStats* stats) override;
-  Status ReadPageBlockChecked(PageId page, QueryStats* stats,
-                              PageBlock* out) override;
+  Status ReadPageBlock(PageId page, QueryStats* stats, PageBlock* out) override;
   DataLayout* MutableLayout() override;
   Status SaveIndex(std::ostream& out) override;
   size_t NumDataPages() const override;

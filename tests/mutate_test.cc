@@ -1,6 +1,8 @@
 // Tests for the online-mutability layer (DESIGN §13): epoch-based
 // reclamation, the chunked copy-on-write container, two-tier pivot rows,
-// insert/delete visibility against every backend, quiesced equality (a
+// insert/delete visibility against every backend, the overlay's page-read
+// contract (range check, read faults surfacing through the tombstone
+// filter), quiesced equality (a
 // mutated-then-compacted database answers bit-identically to a fresh build
 // of the same final object set, pivots on and off), persistence of the
 // mutated state through the page store, a mixed reader/writer stress run
@@ -27,6 +29,7 @@
 #include "dataset/generators.h"
 #include "dist/builtin_metrics.h"
 #include "parallel/thread_pool.h"
+#include "robust/fault_injector.h"
 #include "service/batch_scheduler.h"
 #include "tests/test_util.h"
 
@@ -350,6 +353,111 @@ TEST(MutateTest, MutateSaveReopenMutateSaveAgain) {
     }
     std::filesystem::remove(p1);
     std::filesystem::remove(p2);
+  }
+}
+
+// --- the overlay's page reads --------------------------------------------
+
+// A page id past the delta tier is an error, exactly as DataLayout::ReadBlock
+// treats one past the base tier — never an OK, empty page.
+TEST(MutateTest, ReadPageBlockRejectsOutOfRangePage) {
+  const Dataset base = MakeUniformDataset(120, 4, 61);
+  auto db = OpenDb(base, BackendKind::kLinearScan);
+  ASSERT_NE(db, nullptr);
+  QueryBackend& backend = db->backend();
+  QueryStats stats;
+  PageBlock block;
+  EXPECT_TRUE(backend.ReadPageBlock(static_cast<PageId>(backend.NumDataPages()),
+                                    &stats, &block)
+                  .IsInvalidArgument());
+
+  ASSERT_TRUE(db->Insert(Vec(4, 0.5f)).ok());
+  const size_t pages = backend.NumDataPages();
+  ASSERT_TRUE(
+      backend.ReadPageBlock(static_cast<PageId>(pages - 1), &stats, &block)
+          .ok());
+  EXPECT_EQ(block.size(), 1u);
+  EXPECT_TRUE(backend.ReadPageBlock(static_cast<PageId>(pages), &stats, &block)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      backend.ReadPageBlock(static_cast<PageId>(pages + 7), &stats, &block)
+          .IsInvalidArgument());
+}
+
+// A base page read that fails behind the tombstone filter must fail the
+// query (IOError), never return the answers of the pages that did read.
+// Every base page carries a tombstone, so whichever page the scripted
+// fault hits is read through the filter. After the fault clears, the
+// retry answers bit-identically to a fault-free database in the same
+// mutated state.
+TEST(MutateTest, FailedReadThroughTombstoneFilterIsAnError) {
+  const Dataset base = MakeUniformDataset(240, 5, 63);
+  const Dataset probes = MakeUniformDataset(5, 5, 64);
+  for (BackendKind kind : kAllBackends) {
+    SCOPED_TRACE(BackendKindName(kind));
+    const std::string path =
+        TempPath("mutate_read_fault_" + BackendKindName(kind) + ".msq");
+    {
+      auto built = OpenDb(base, kind);
+      ASSERT_NE(built, nullptr);
+      ASSERT_TRUE(built->Save(path).ok());
+    }
+    robust::FaultPlan plan;
+    plan.metrics = nullptr;
+    auto injector = std::make_shared<robust::FaultInjector>(plan);
+    DatabaseOptions faulty_options;
+    faulty_options.fault_injector = injector;
+    auto faulty = MetricDatabase::Open(path, faulty_options);
+    ASSERT_TRUE(faulty.ok()) << faulty.status().ToString();
+    auto clean = MetricDatabase::Open(path);
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+
+    const DataLayout* layout = (*clean)->backend().MutableLayout();
+    ASSERT_NE(layout, nullptr);
+    for (PageId p = 0; p < layout->num_pages(); ++p) {
+      const ObjectId victim = layout->Peek(p).front();
+      ASSERT_TRUE((*faulty)->Delete(victim).ok());
+      ASSERT_TRUE((*clean)->Delete(victim).ok());
+    }
+    for (ObjectId i = 0; i < 2; ++i) {
+      ASSERT_TRUE((*faulty)->Insert(probes.object(i)).ok());
+      ASSERT_TRUE((*clean)->Insert(probes.object(i)).ok());
+    }
+
+    std::vector<Query> batch;
+    for (size_t i = 0; i < probes.size(); ++i) {
+      batch.push_back({static_cast<QueryId>(5000 + i),
+                       probes.object(static_cast<ObjectId>(i)),
+                       QueryType::Knn(8)});
+    }
+    const Query single{5100, probes.object(3), QueryType::Knn(6)};
+    auto want_batch = (*clean)->MultipleSimilarityQueryAll(batch);
+    auto want_single = (*clean)->SimilarityQuery(single);
+    ASSERT_TRUE(want_batch.ok()) << want_batch.status().ToString();
+    ASSERT_TRUE(want_single.ok()) << want_single.status().ToString();
+
+    injector->FailNextPageReads(1);
+    auto failed_batch = (*faulty)->MultipleSimilarityQueryAll(batch);
+    ASSERT_FALSE(failed_batch.ok());
+    EXPECT_TRUE(failed_batch.status().IsIOError())
+        << failed_batch.status().ToString();
+    auto got_batch = (*faulty)->MultipleSimilarityQueryAll(batch);
+    ASSERT_TRUE(got_batch.ok()) << got_batch.status().ToString();
+    ASSERT_EQ(got_batch->size(), want_batch->size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_TRUE(SameAnswers((*got_batch)[i], (*want_batch)[i], 0.0)) << i;
+    }
+
+    injector->FailNextPageReads(1);
+    auto failed_single = (*faulty)->SimilarityQuery(single);
+    ASSERT_FALSE(failed_single.ok());
+    EXPECT_TRUE(failed_single.status().IsIOError())
+        << failed_single.status().ToString();
+    auto got_single = (*faulty)->SimilarityQuery(single);
+    ASSERT_TRUE(got_single.ok()) << got_single.status().ToString();
+    EXPECT_TRUE(SameAnswers(*got_single, *want_single, 0.0));
+    EXPECT_EQ(injector->faults_injected(), 2u);
+    std::filesystem::remove(path);
   }
 }
 

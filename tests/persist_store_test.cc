@@ -203,7 +203,7 @@ TEST_F(StoreLayoutTest, ReadsComeFromTheFileAndMatch) {
   QueryStats stats;
   for (PageId p = 0; p < layout_.num_pages(); ++p) {
     PageBlock block;
-    ASSERT_TRUE(layout_.TryReadBlock(p, &stats, &block).ok());
+    ASSERT_TRUE(layout_.ReadBlock(p, &stats, &block).ok());
     ASSERT_EQ(block.size(), 4u);
     for (size_t i = 0; i < block.size(); ++i) {
       const ObjectId id = block.ids[i];
@@ -222,22 +222,22 @@ TEST_F(StoreLayoutTest, FailedReadLeavesPageNonResident) {
   store_->SetReadFaultHook(
       [](uint64_t) { return Status::IOError("injected"); });
   QueryStats stats;
-  const std::vector<ObjectId>* ids = nullptr;
-  EXPECT_TRUE(layout_.TryRead(0, &stats, &ids).IsIOError());
+  PageBlock block;
+  EXPECT_TRUE(layout_.ReadBlock(0, &stats, &block).IsIOError());
   EXPECT_FALSE(layout_.buffer().Contains(0));
   EXPECT_EQ(stats.buffer_hits, 0u);
   const uint64_t file_reads_after_fault = store_->io_stats().reads;
 
   store_->SetReadFaultHook(nullptr);
-  ASSERT_TRUE(layout_.TryRead(0, &stats, &ids).ok());
-  ASSERT_NE(ids, nullptr);
-  EXPECT_EQ((*ids)[0], 0u);
+  ASSERT_TRUE(layout_.ReadBlock(0, &stats, &block).ok());
+  ASSERT_EQ(block.size(), 4u);
+  EXPECT_EQ(block.ids[0], 0u);
   // The retry really went back to the file.
   EXPECT_GT(store_->io_stats().reads, file_reads_after_fault);
   EXPECT_TRUE(layout_.buffer().Contains(0));
   // And now it is a buffer hit, with no further file I/O.
   const uint64_t file_reads_after_retry = store_->io_stats().reads;
-  ASSERT_TRUE(layout_.TryRead(0, &stats, &ids).ok());
+  ASSERT_TRUE(layout_.ReadBlock(0, &stats, &block).ok());
   EXPECT_EQ(stats.buffer_hits, 1u);
   EXPECT_EQ(store_->io_stats().reads, file_reads_after_retry);
 }

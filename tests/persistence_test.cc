@@ -1,11 +1,11 @@
 // Tests of index persistence: X-tree and M-tree structures round-trip
-// through their binary files, loaded indexes answer queries identically,
-// and corrupted or mismatched files are rejected.
+// through their serialized index streams (SaveTo/LoadFrom, the bytes
+// MetricDatabase::Save embeds in its page file), loaded indexes answer
+// queries identically, and corrupted or mismatched streams are rejected.
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -22,10 +22,6 @@
 namespace msq {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
 std::shared_ptr<const Dataset> SharedDataset(Dataset ds) {
   return std::make_shared<Dataset>(std::move(ds));
 }
@@ -39,9 +35,9 @@ TEST(XTreePersistenceTest, RoundTripPreservesStructureAndAnswers) {
   auto original = XTreeBackend::BulkLoad(dataset, metric, options);
   ASSERT_TRUE(original.ok());
 
-  const std::string path = TempPath("msq_xtree_roundtrip.idx");
-  ASSERT_TRUE((*original)->Save(path).ok());
-  auto loaded = XTreeBackend::Load(path, dataset, metric, options);
+  std::stringstream bytes;
+  ASSERT_TRUE((*original)->SaveTo(bytes).ok());
+  auto loaded = XTreeBackend::LoadFrom(bytes, dataset, metric, options);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   const XTreeShape a = (*original)->Shape();
@@ -64,7 +60,6 @@ TEST(XTreePersistenceTest, RoundTripPreservesStructureAndAnswers) {
     ASSERT_TRUE(got_b.ok());
     EXPECT_TRUE(testing::SameAnswers(*got_a, *got_b)) << trial;
   }
-  std::remove(path.c_str());
 }
 
 TEST(XTreePersistenceTest, DynamicTreeWithSupernodesRoundTrips) {
@@ -76,13 +71,12 @@ TEST(XTreePersistenceTest, DynamicTreeWithSupernodesRoundTrips) {
   auto original = XTreeBackend::BuildByInsertion(dataset, metric, options);
   ASSERT_TRUE(original.ok());
   ASSERT_GT((*original)->Shape().num_supernodes, 0u);
-  const std::string path = TempPath("msq_xtree_super.idx");
-  ASSERT_TRUE((*original)->Save(path).ok());
-  auto loaded = XTreeBackend::Load(path, dataset, metric, options);
+  std::stringstream bytes;
+  ASSERT_TRUE((*original)->SaveTo(bytes).ok());
+  auto loaded = XTreeBackend::LoadFrom(bytes, dataset, metric, options);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ((*loaded)->Shape().num_supernodes,
             (*original)->Shape().num_supernodes);
-  std::remove(path.c_str());
 }
 
 TEST(XTreePersistenceTest, RejectsWrongDataset) {
@@ -90,41 +84,30 @@ TEST(XTreePersistenceTest, RejectsWrongDataset) {
   auto metric = std::make_shared<EuclideanMetric>();
   auto tree = XTreeBackend::BulkLoad(dataset, metric, {});
   ASSERT_TRUE(tree.ok());
-  const std::string path = TempPath("msq_xtree_wrongds.idx");
-  ASSERT_TRUE((*tree)->Save(path).ok());
+  std::stringstream bytes;
+  ASSERT_TRUE((*tree)->SaveTo(bytes).ok());
+  const std::string saved = bytes.str();
   // Different size.
   auto smaller = SharedDataset(MakeUniformDataset(400, 4, 1007));
-  EXPECT_TRUE(XTreeBackend::Load(path, smaller, metric, {})
+  std::istringstream in_smaller(saved);
+  EXPECT_TRUE(XTreeBackend::LoadFrom(in_smaller, smaller, metric, {})
                   .status()
                   .IsInvalidArgument());
   // Different dimensionality.
   auto other_dim = SharedDataset(MakeUniformDataset(500, 5, 1007));
-  EXPECT_TRUE(XTreeBackend::Load(path, other_dim, metric, {})
+  std::istringstream in_other_dim(saved);
+  EXPECT_TRUE(XTreeBackend::LoadFrom(in_other_dim, other_dim, metric, {})
                   .status()
                   .IsInvalidArgument());
-  std::remove(path.c_str());
 }
 
 TEST(XTreePersistenceTest, RejectsGarbageFile) {
-  const std::string path = TempPath("msq_xtree_garbage.idx");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "certainly not an index";
-  }
+  std::istringstream bytes("certainly not an index");
   auto dataset = SharedDataset(MakeUniformDataset(100, 4, 1009));
   auto metric = std::make_shared<EuclideanMetric>();
-  EXPECT_TRUE(
-      XTreeBackend::Load(path, dataset, metric, {}).status().IsCorruption());
-  std::remove(path.c_str());
-}
-
-TEST(XTreePersistenceTest, MissingFileIsIOError) {
-  auto dataset = SharedDataset(MakeUniformDataset(100, 4, 1011));
-  auto metric = std::make_shared<EuclideanMetric>();
-  EXPECT_TRUE(XTreeBackend::Load("/nonexistent/index.idx", dataset, metric,
-                                 {})
+  EXPECT_TRUE(XTreeBackend::LoadFrom(bytes, dataset, metric, {})
                   .status()
-                  .IsIOError());
+                  .IsCorruption());
 }
 
 TEST(MTreePersistenceTest, RoundTripPreservesAnswers) {
@@ -135,9 +118,9 @@ TEST(MTreePersistenceTest, RoundTripPreservesAnswers) {
   options.page_size_bytes = 1024;
   auto original = MTreeBackend::Build(dataset, metric, options);
   ASSERT_TRUE(original.ok());
-  const std::string path = TempPath("msq_mtree_roundtrip.idx");
-  ASSERT_TRUE((*original)->Save(path).ok());
-  auto loaded = MTreeBackend::Load(path, dataset, metric, options);
+  std::stringstream bytes;
+  ASSERT_TRUE((*original)->SaveTo(bytes).ok());
+  auto loaded = MTreeBackend::LoadFrom(bytes, dataset, metric, options);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE((*loaded)->CheckInvariants().ok());
 
@@ -156,7 +139,6 @@ TEST(MTreePersistenceTest, RoundTripPreservesAnswers) {
     ASSERT_TRUE(got_b.ok());
     EXPECT_TRUE(testing::SameAnswers(*got_a, *got_b));
   }
-  std::remove(path.c_str());
 }
 
 TEST(MTreePersistenceTest, LoadingWithWrongMetricFailsInvariants) {
@@ -166,15 +148,14 @@ TEST(MTreePersistenceTest, LoadingWithWrongMetricFailsInvariants) {
   options.page_size_bytes = 512;  // force a real (multi-level) structure
   auto tree = MTreeBackend::Build(dataset, euclid, options);
   ASSERT_TRUE(tree.ok());
-  const std::string path = TempPath("msq_mtree_wrongmetric.idx");
-  ASSERT_TRUE((*tree)->Save(path).ok());
+  std::stringstream bytes;
+  ASSERT_TRUE((*tree)->SaveTo(bytes).ok());
   // Manhattan distances differ, so the stored radii/parent distances no
   // longer verify — the load must fail loudly instead of mis-answering.
   auto manhattan = std::make_shared<ManhattanMetric>();
-  EXPECT_TRUE(MTreeBackend::Load(path, dataset, manhattan, options)
+  EXPECT_TRUE(MTreeBackend::LoadFrom(bytes, dataset, manhattan, options)
                   .status()
                   .IsCorruption());
-  std::remove(path.c_str());
 }
 
 TEST(MTreePersistenceTest, EditDistanceIndexRoundTrips) {
@@ -184,9 +165,9 @@ TEST(MTreePersistenceTest, EditDistanceIndexRoundTrips) {
   options.page_size_bytes = 1024;
   auto original = MTreeBackend::Build(dataset, metric, options);
   ASSERT_TRUE(original.ok());
-  const std::string path = TempPath("msq_mtree_edit.idx");
-  ASSERT_TRUE((*original)->Save(path).ok());
-  auto loaded = MTreeBackend::Load(path, dataset, metric, options);
+  std::stringstream bytes;
+  ASSERT_TRUE((*original)->SaveTo(bytes).ok());
+  auto loaded = MTreeBackend::LoadFrom(bytes, dataset, metric, options);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   CountingMetric counted(metric);
   Query q{1, dataset->object(7), QueryType::Knn(4)};
@@ -195,7 +176,6 @@ TEST(MTreePersistenceTest, EditDistanceIndexRoundTrips) {
   ASSERT_TRUE(got_a.ok());
   ASSERT_TRUE(got_b.ok());
   EXPECT_TRUE(testing::SameAnswers(*got_a, *got_b));
-  std::remove(path.c_str());
 }
 
 TEST(MTreePersistenceTest, RejectsTruncatedFile) {
@@ -203,13 +183,12 @@ TEST(MTreePersistenceTest, RejectsTruncatedFile) {
   auto metric = std::make_shared<EuclideanMetric>();
   auto tree = MTreeBackend::Build(dataset, metric, {});
   ASSERT_TRUE(tree.ok());
-  const std::string path = TempPath("msq_mtree_trunc.idx");
-  ASSERT_TRUE((*tree)->Save(path).ok());
+  std::stringstream bytes;
+  ASSERT_TRUE((*tree)->SaveTo(bytes).ok());
   // Truncate to half.
-  const auto size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, size / 2);
-  EXPECT_FALSE(MTreeBackend::Load(path, dataset, metric, {}).ok());
-  std::remove(path.c_str());
+  const std::string saved = bytes.str();
+  std::istringstream truncated(saved.substr(0, saved.size() / 2));
+  EXPECT_FALSE(MTreeBackend::LoadFrom(truncated, dataset, metric, {}).ok());
 }
 
 }  // namespace

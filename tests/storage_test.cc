@@ -162,33 +162,63 @@ TEST(DataLayoutTest, InvariantsCatchEmptyPage) {
   EXPECT_TRUE(layout.CheckInvariants().IsCorruption());
 }
 
+// A sequential layout with materialized rows (ReadBlock needs them):
+// object i's vector is {i}.
+DataLayout SequentialWithRows(size_t num_objects, size_t objects_per_page,
+                              size_t buffer_pages) {
+  DataLayout layout =
+      DataLayout::Sequential(num_objects, objects_per_page, buffer_pages);
+  std::vector<Vec> objects;
+  for (size_t i = 0; i < num_objects; ++i) {
+    objects.push_back(Vec{static_cast<Scalar>(i)});
+  }
+  layout.MaterializeRows(1, objects);
+  return layout;
+}
+
+// Reads `page` for its accounting side effect only.
+void ChargeRead(DataLayout* layout, PageId page, QueryStats* stats) {
+  PageBlock block;
+  ASSERT_TRUE(layout->ReadBlock(page, stats, &block).ok());
+}
+
 TEST(DataLayoutTest, ReadChargesBufferThenDisk) {
-  DataLayout layout = DataLayout::Sequential(8, 2, 2);
+  DataLayout layout = SequentialWithRows(8, 2, 2);
   QueryStats stats;
-  layout.Read(0, &stats);  // miss -> random read
-  layout.Read(1, &stats);  // miss -> sequential read
-  layout.Read(0, &stats);  // hit
+  ChargeRead(&layout, 0, &stats);  // miss -> random read
+  ChargeRead(&layout, 1, &stats);  // miss -> sequential read
+  ChargeRead(&layout, 0, &stats);  // hit
   EXPECT_EQ(stats.random_page_reads, 1u);
   EXPECT_EQ(stats.seq_page_reads, 1u);
   EXPECT_EQ(stats.buffer_hits, 1u);
 }
 
 TEST(DataLayoutTest, FullScanIsOneRandomPlusSequentials) {
-  DataLayout layout = DataLayout::Sequential(100, 10, 0);
+  DataLayout layout = SequentialWithRows(100, 10, 0);
   QueryStats stats;
-  for (PageId p = 0; p < layout.num_pages(); ++p) layout.Read(p, &stats);
+  for (PageId p = 0; p < layout.num_pages(); ++p) {
+    ChargeRead(&layout, p, &stats);
+  }
   EXPECT_EQ(stats.random_page_reads, 1u);
   EXPECT_EQ(stats.seq_page_reads, layout.num_pages() - 1);
 }
 
 TEST(DataLayoutTest, ResetIoStateColdStartsDiskAndBuffer) {
-  DataLayout layout = DataLayout::Sequential(8, 2, 4);
+  DataLayout layout = SequentialWithRows(8, 2, 4);
   QueryStats stats;
-  layout.Read(0, &stats);
+  ChargeRead(&layout, 0, &stats);
   layout.ResetIoState();
-  layout.Read(0, &stats);  // would be a buffer hit without the reset
+  ChargeRead(&layout, 0, &stats);  // would be a buffer hit without the reset
   EXPECT_EQ(stats.buffer_hits, 0u);
   EXPECT_EQ(stats.random_page_reads, 2u);
+}
+
+TEST(DataLayoutTest, ReadBlockRejectsOutOfRangePage) {
+  DataLayout layout = SequentialWithRows(8, 2, 2);
+  QueryStats stats;
+  PageBlock block;
+  EXPECT_TRUE(layout.ReadBlock(4, &stats, &block).IsInvalidArgument());
+  EXPECT_EQ(stats.random_page_reads + stats.seq_page_reads, 0u);
 }
 
 }  // namespace
