@@ -22,10 +22,6 @@
 
 namespace msq {
 
-namespace obs {
-class MetricsSink;
-}  // namespace obs
-
 class PivotTable;
 
 /// One candidate data page with a lower bound on the distance from the
@@ -55,11 +51,16 @@ class CandidateStream {
 
 /// A database organization that can answer similarity queries page-wise.
 ///
-/// Object vectors are accessible in memory (`ObjectVec`); page reads go
-/// through ReadPageBlock, the one place page I/O is charged. Directory
-/// structures of tree backends are assumed memory-resident (their upper
-/// levels are buffer-resident in any realistic deployment); I/O accounting
-/// covers data pages, the dominant term.
+/// A backend is complete when its factory (Build, BulkLoad, LoadIndex, ...)
+/// returns: its index and page layout are fixed from then on, and the query
+/// path never restructures them (mutation lives in MutableBackend's overlay,
+/// not in the backends). Object vectors are accessible in memory
+/// (`ObjectVec`); page reads go through ReadPageBlock, the one place page
+/// I/O is charged. Storage-side state — the buffer pool, the disk model,
+/// the metrics sink — belongs to the DataLayout that MutableLayout()
+/// returns. Directory structures of tree backends are assumed
+/// memory-resident (their upper levels are buffer-resident in any realistic
+/// deployment); I/O accounting covers data pages, the dominant term.
 class QueryBackend {
  public:
   virtual ~QueryBackend() = default;
@@ -97,21 +98,6 @@ class QueryBackend {
   /// The object's feature vector.
   virtual const Vec& ObjectVec(ObjectId id) const = 0;
 
-  /// Clears buffer-pool content and the simulated disk head position so
-  /// experiments start from a cold, reproducible state.
-  virtual void ResetIoState() = 0;
-
-  /// Charges one failed page-read attempt to the backend's disk model (the
-  /// seek happened, no data arrived, head position unknown afterwards).
-  /// Called by the fault-injection decorator; default no-op for backends
-  /// (and test fakes) without metered storage.
-  virtual void NoteFailedRead(QueryStats* /*stats*/) {}
-
-  /// Attaches an observability sink to the backend's storage side (buffer
-  /// pool hit/miss/eviction counters). Default: no-op, for backends (and
-  /// test fakes) without metered storage.
-  virtual void SetMetricsSink(const obs::MetricsSink* /*sink*/) {}
-
   /// Offers the database's global pivot table to the backend. Backends
   /// with index-side pruning opportunities (the M-tree's PM-tree-style
   /// hyper-rings) keep the shared_ptr and build their per-subtree
@@ -119,15 +105,15 @@ class QueryBackend {
   /// filtering lives in the engines, not the backend.
   virtual void AttachPivots(std::shared_ptr<const PivotTable> /*pivots*/) {}
 
-  /// The backend's DataLayout, for persistence (SaveToStore/AttachStore).
-  /// Null for backends without one (test fakes, remote proxies). Tree
-  /// backends finalize first, so the returned layout is the one queries
-  /// run on.
+  /// The backend's DataLayout — the one handle on its storage: persistence
+  /// (SaveToStore/AttachStore), cold starts (ResetIoState), failed-read
+  /// billing (NoteFailedRead) and buffer-pool metrics (SetMetricsSink).
+  /// Null for backends without one (test fakes, remote proxies).
   virtual DataLayout* MutableLayout() { return nullptr; }
 
   /// Serializes the backend's index structure (not the data pages — those
-  /// are the layout's) to `out`, in the tree backends' SaveTo format.
-  /// Default: not supported.
+  /// are the layout's) to `out`; each backend's static LoadIndex restores
+  /// it. Default: not supported.
   virtual Status SaveIndex(std::ostream& /*out*/) {
     return Status::NotSupported("backend cannot serialize its index");
   }

@@ -52,6 +52,34 @@ uint64_t LegacyNonceFor(const PageFile& store) {
 const std::string kWalSuffix = ".wal";
 const std::string kTmpSuffix = ".tmp";
 
+/// Default backend options with the database's page size and buffer
+/// fraction.
+template <typename BackendOptions>
+BackendOptions OptionsFor(const DatabaseOptions& options) {
+  BackendOptions backend_options;
+  backend_options.page_size_bytes = options.page_size_bytes;
+  backend_options.buffer_fraction = options.buffer_fraction;
+  return backend_options;
+}
+
+/// WAL options of a database: fsync policy, metrics, and the fault
+/// injector's write/fsync hooks.
+Wal::Options WalOptionsFor(const DatabaseOptions& options) {
+  Wal::Options wal_options;
+  wal_options.fsync_policy = options.durability.wal_fsync_policy;
+  wal_options.fsync_every_n = options.durability.wal_fsync_every_n;
+  wal_options.metrics = options.multi.metrics;
+  if (options.fault_injector != nullptr) {
+    std::shared_ptr<robust::FaultInjector> inj = options.fault_injector;
+    wal_options.write_fault_hook =
+        [inj](uint64_t offset, size_t length, size_t* allowed) {
+          return inj->OnWrite(offset, length, allowed);
+        };
+    wal_options.fsync_fault_hook = [inj] { return inj->OnFsync(); };
+  }
+  return wal_options;
+}
+
 /// Builds the base backend for `dataset` — the switch Open and Compact
 /// share — and applies the fault-injection wrap, so a compacted base has
 /// exactly the wiring of a freshly opened one.
@@ -62,18 +90,14 @@ StatusOr<std::unique_ptr<QueryBackend>> BuildBaseBackend(
   std::unique_ptr<QueryBackend> backend;
   switch (options.backend) {
     case BackendKind::kLinearScan: {
-      LinearScanOptions scan_options;
-      scan_options.page_size_bytes = options.page_size_bytes;
-      scan_options.buffer_fraction = options.buffer_fraction;
-      auto built = LinearScanBackend::Build(dataset, scan_options);
+      auto built = LinearScanBackend::Build(
+          dataset, OptionsFor<LinearScanOptions>(options));
       if (!built.ok()) return built.status();
       backend = std::move(built).value();
       break;
     }
     case BackendKind::kXTree: {
-      XTreeOptions xtree_options = options.xtree;
-      xtree_options.page_size_bytes = options.page_size_bytes;
-      xtree_options.buffer_fraction = options.buffer_fraction;
+      const auto xtree_options = OptionsFor<XTreeOptions>(options);
       auto built = options.xtree_dynamic_build
                        ? XTreeBackend::BuildByInsertion(dataset, metric,
                                                         xtree_options)
@@ -83,19 +107,15 @@ StatusOr<std::unique_ptr<QueryBackend>> BuildBaseBackend(
       break;
     }
     case BackendKind::kMTree: {
-      MTreeOptions mtree_options = options.mtree;
-      mtree_options.page_size_bytes = options.page_size_bytes;
-      mtree_options.buffer_fraction = options.buffer_fraction;
-      auto built = MTreeBackend::Build(dataset, metric, mtree_options);
+      auto built = MTreeBackend::Build(dataset, metric,
+                                       OptionsFor<MTreeOptions>(options));
       if (!built.ok()) return built.status();
       backend = std::move(built).value();
       break;
     }
     case BackendKind::kVaFile: {
-      VaFileOptions va_options = options.va_file;
-      va_options.page_size_bytes = options.page_size_bytes;
-      va_options.buffer_fraction = options.buffer_fraction;
-      auto built = VaFileBackend::Build(dataset, metric, va_options);
+      auto built = VaFileBackend::Build(dataset, metric,
+                                        OptionsFor<VaFileOptions>(options));
       if (!built.ok()) return built.status();
       backend = std::move(built).value();
       break;
@@ -174,7 +194,7 @@ void MetricDatabase::WireEngine(std::unique_ptr<QueryBackend> base) {
   engine_ = std::make_unique<MultiQueryEngine>(backend_.get(), metric_,
                                                options_.multi);
   // The storage side (buffer pool) shares the engine's observability sink.
-  backend_->SetMetricsSink(options_.multi.metrics);
+  backend_->MutableLayout()->SetMetricsSink(options_.multi.metrics);
   if (options_.multi.metrics != nullptr &&
       options_.multi.metrics->registry() != nullptr) {
     obs::MetricsRegistry* reg = options_.multi.metrics->registry();
@@ -363,7 +383,7 @@ Status MetricDatabase::CompactLocked() {
     pivots = std::shared_ptr<const PivotTable>(std::move(table).value());
     base->AttachPivots(pivots);
   }
-  base->SetMetricsSink(overlay_->metrics_sink());
+  base->MutableLayout()->SetMetricsSink(options_.multi.metrics);
 
   auto next = std::make_shared<LiveVersion>();
   next->base_n = shared->size();
@@ -414,9 +434,6 @@ Status MetricDatabase::WriteStoreLocked(const std::string& tmp_path,
                                         uint64_t nonce) {
   std::shared_ptr<const LiveVersion> cur = overlay_->Current();
   const Dataset& data = *cur->base_dataset;
-  // Serialize the index blob first: for the trees this finalizes the lazy
-  // page layout, so the page map SaveToStore writes below is exactly the
-  // one the blob describes.
   std::ostringstream index;
   MSQ_RETURN_IF_ERROR(backend_->SaveIndex(index));
   DataLayout* layout = backend_->MutableLayout();
@@ -511,23 +528,11 @@ Status MetricDatabase::BindDurabilityLocked(const std::string& path) {
     RemoveFileIfExists(path + kWalSuffix);
     return Status::OK();
   }
-  Wal::Options wal_options;
-  wal_options.fsync_policy = options_.durability.wal_fsync_policy;
-  wal_options.fsync_every_n = options_.durability.wal_fsync_every_n;
-  wal_options.metrics = options_.multi.metrics;
-  if (options_.fault_injector != nullptr) {
-    std::shared_ptr<robust::FaultInjector> inj = options_.fault_injector;
-    wal_options.write_fault_hook =
-        [inj](uint64_t offset, size_t length, size_t* allowed) {
-          return inj->OnWrite(offset, length, allowed);
-        };
-    wal_options.fsync_fault_hook = [inj] { return inj->OnFsync(); };
-  }
   // The nonce is fresh, so whatever sits at `<path>.wal` is stale by
   // definition and OpenForAppend resets it to an empty log.
   WalReplayResult replay;
   auto wal = Wal::OpenForAppend(path + kWalSuffix, checkpoint_nonce_,
-                                wal_options, &replay);
+                                WalOptionsFor(options_), &replay);
   if (!wal.ok()) return wal.status();
   wal_ = std::move(wal).value();
   return Status::OK();
@@ -733,21 +738,15 @@ StatusOr<std::unique_ptr<MetricDatabase>> MetricDatabase::Open(
       break;
     }
     case BackendKind::kXTree: {
-      XTreeOptions xtree_options = options.xtree;
-      xtree_options.page_size_bytes = options.page_size_bytes;
-      xtree_options.buffer_fraction = options.buffer_fraction;
-      auto loaded = XTreeBackend::LoadFrom(index, shared, metric,
-                                           xtree_options);
+      auto loaded = XTreeBackend::LoadIndex(index, shared, metric,
+                                            OptionsFor<XTreeOptions>(options));
       if (!loaded.ok()) return loaded.status();
       base = std::move(loaded).value();
       break;
     }
     case BackendKind::kMTree: {
-      MTreeOptions mtree_options = options.mtree;
-      mtree_options.page_size_bytes = options.page_size_bytes;
-      mtree_options.buffer_fraction = options.buffer_fraction;
-      auto loaded = MTreeBackend::LoadFrom(index, shared, metric,
-                                           mtree_options);
+      auto loaded = MTreeBackend::LoadIndex(index, shared, metric,
+                                            OptionsFor<MTreeOptions>(options));
       if (!loaded.ok()) return loaded.status();
       base = std::move(loaded).value();
       break;
@@ -779,8 +778,8 @@ StatusOr<std::unique_ptr<MetricDatabase>> MetricDatabase::Open(
     pivot_table = std::move(built).value();
   }
 
-  // Route page reads through the file (MutableLayout finalizes the trees,
-  // reproducing the page map the store's directory was written against).
+  // Route page reads through the file (a loaded tree's layout reproduces
+  // the page map the store's directory was written against).
   DataLayout* layout = base->MutableLayout();
   if (layout == nullptr) {
     return Status::Internal("reopened backend has no data layout");
@@ -802,20 +801,8 @@ StatusOr<std::unique_ptr<MetricDatabase>> MetricDatabase::Open(
   WalReplayResult replay;
   std::unique_ptr<Wal> wal;
   if (options.durability.wal_enabled) {
-    Wal::Options wal_options;
-    wal_options.fsync_policy = options.durability.wal_fsync_policy;
-    wal_options.fsync_every_n = options.durability.wal_fsync_every_n;
-    wal_options.metrics = options.multi.metrics;
-    if (options.fault_injector != nullptr) {
-      std::shared_ptr<robust::FaultInjector> inj = options.fault_injector;
-      wal_options.write_fault_hook =
-          [inj](uint64_t offset, size_t length, size_t* allowed) {
-            return inj->OnWrite(offset, length, allowed);
-          };
-      wal_options.fsync_fault_hook = [inj] { return inj->OnFsync(); };
-    }
     auto opened_wal = Wal::OpenForAppend(wal_path, checkpoint_nonce,
-                                         wal_options, &replay);
+                                         WalOptionsFor(options), &replay);
     if (!opened_wal.ok()) return opened_wal.status();
     wal = std::move(opened_wal).value();
   } else if (FileExists(wal_path)) {
@@ -927,7 +914,7 @@ StatusOr<BatchResult> MetricDatabase::MultipleSimilarityQueryAllPartial(
 void MetricDatabase::ResetAll() {
   ResetStats();
   engine_->Reset();
-  backend_->ResetIoState();
+  backend_->MutableLayout()->ResetIoState();
 }
 
 }  // namespace msq

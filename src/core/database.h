@@ -65,11 +65,6 @@ struct DatabaseOptions {
   /// Cost model converting operation counts to modeled time.
   CostModel cost_model;
   MultiQueryOptions multi;
-  /// Backend-specific knobs (page size / buffer fraction above override
-  /// the same fields inside these).
-  XTreeOptions xtree;
-  MTreeOptions mtree;
-  VaFileOptions va_file;
   /// Build the X-tree by repeated insertion instead of bulk loading.
   bool xtree_dynamic_build = false;
   /// LAESA-style pivot filtering (DESIGN §12). Disabled by default, so

@@ -132,14 +132,6 @@ class MutableBackend : public QueryBackend {
     if (id < v->base_n) return v->base->ObjectVec(id);
     return v->delta[id - v->base_n];
   }
-  void ResetIoState() override { View()->base->ResetIoState(); }
-  void NoteFailedRead(QueryStats* stats) override {
-    View()->base->NoteFailedRead(stats);
-  }
-  void SetMetricsSink(const obs::MetricsSink* sink) override {
-    sink_ = sink;
-    View()->base->SetMetricsSink(sink);
-  }
   /// Publishes a version with `pivots` armed (generation unchanged — this
   /// is pre-query wiring, not a mutation) and forwards to the base for its
   /// index-side structures (M-tree hyper-rings).
@@ -148,9 +140,6 @@ class MutableBackend : public QueryBackend {
   Status SaveIndex(std::ostream& out) override {
     return View()->base->SaveIndex(out);
   }
-
-  /// The sink last attached (compaction re-wires it onto the new base).
-  const obs::MetricsSink* metrics_sink() const { return sink_; }
 
  private:
   /// The snapshot this call resolves against: the installed session
@@ -175,8 +164,6 @@ class MutableBackend : public QueryBackend {
   mutable std::shared_ptr<const LiveVersion> fallback_;
   std::vector<ObjectId> scratch_ids_;
   std::vector<Scalar> scratch_rows_;
-
-  const obs::MetricsSink* sink_ = nullptr;
 };
 
 }  // namespace msq

@@ -66,8 +66,9 @@ StatusOr<std::unique_ptr<MTreeBackend>> MTreeBackend::Build(
   auto tree = std::unique_ptr<MTreeBackend>(
       new MTreeBackend(std::move(dataset), std::move(metric), opts));
   for (ObjectId id = 0; id < n; ++id) {
-    MSQ_RETURN_IF_ERROR(tree->Insert(id));
+    tree->Insert(id);
   }
+  tree->Finalize();
   return tree;
 }
 
@@ -79,16 +80,7 @@ double MTreeBackend::DistToVec(const Vec& v, ObjectId b) const {
   return metric_->Distance(v, dataset_->object(b));
 }
 
-Status MTreeBackend::Insert(ObjectId id) {
-  if (id >= dataset_->size()) {
-    return Status::InvalidArgument("object id out of range");
-  }
-  if (layout_.has_store()) {
-    // Re-finalizing would reshuffle pages out from under the on-disk
-    // extents; the persistent store is read-only by design.
-    return Status::NotSupported("cannot insert into a persistent store");
-  }
-  finalized_ = false;
+void MTreeBackend::Insert(ObjectId id) {
   // Descend: at each directory node pick the child whose region needs the
   // least (ideally zero) radius enlargement, enlarging along the path.
   MNodeIndex cur = root_;
@@ -127,7 +119,6 @@ Status MTreeBackend::Insert(ObjectId id) {
   }
   InsertIntoLeaf(cur, id, dist_to_routing);
   ++num_objects_indexed_;
-  return Status::OK();
 }
 
 void MTreeBackend::InsertIntoLeaf(MNodeIndex leaf, ObjectId id,
@@ -386,7 +377,7 @@ constexpr uint32_t kMTreeMagic = 0x4d53514d;  // "MSQM"
 constexpr uint32_t kMTreeVersion = 1;
 }  // namespace
 
-Status MTreeBackend::SaveTo(std::ostream& out) {
+Status MTreeBackend::SaveIndex(std::ostream& out) {
   MSQ_RETURN_IF_ERROR(WriteU32(out, kMTreeMagic));
   MSQ_RETURN_IF_ERROR(WriteU32(out, kMTreeVersion));
   MSQ_RETURN_IF_ERROR(WriteU32(out, static_cast<uint32_t>(dataset_->dim())));
@@ -419,7 +410,7 @@ Status MTreeBackend::SaveTo(std::ostream& out) {
   return Status::OK();
 }
 
-StatusOr<std::unique_ptr<MTreeBackend>> MTreeBackend::LoadFrom(
+StatusOr<std::unique_ptr<MTreeBackend>> MTreeBackend::LoadIndex(
     std::istream& in, std::shared_ptr<const Dataset> dataset,
     std::shared_ptr<const Metric> metric, const MTreeOptions& options) {
   if (dataset == nullptr || dataset->empty()) {
@@ -488,7 +479,7 @@ StatusOr<std::unique_ptr<MTreeBackend>> MTreeBackend::LoadFrom(
   }
   tree->root_ = root;
   tree->num_objects_indexed_ = indexed;
-  tree->finalized_ = false;
+  tree->Finalize();
   // Re-validates radii/parent distances under the caller's metric: loading
   // an index with the wrong metric fails here instead of corrupting
   // query results.
@@ -527,11 +518,6 @@ void MTreeBackend::Finalize() {
       static_cast<double>(shape.num_leaves + shape.num_dir_nodes)));
   layout_ = DataLayout::FromGroups(std::move(groups), buffer_pages);
   layout_.MaterializeRows(dataset_->dim(), dataset_->objects());
-  layout_.SetMetricsSink(metrics_sink_);
-  // Inserts since the last attach may have reshaped subtrees; re-derive
-  // the hyper-rings so they bound the current membership.
-  if (pivots_ != nullptr && root_ != kInvalidMNode) BuildRings(root_);
-  finalized_ = true;
 }
 
 void MTreeBackend::AttachPivots(std::shared_ptr<const PivotTable> pivots) {
@@ -671,13 +657,11 @@ class MTreeStream : public CandidateStream {
 
 std::unique_ptr<CandidateStream> MTreeBackend::OpenStream(const Query& query,
                                                           QueryStats* stats) {
-  if (!finalized_) Finalize();
   return std::make_unique<MTreeStream>(this, query.point, stats);
 }
 
 double MTreeBackend::PageMinDist(PageId page, const Query& q,
                                  QueryStats* stats) {
-  if (!finalized_) Finalize();
   assert(page < page_to_node_.size());
   const MNode& node = nodes_[page_to_node_[page]];
   if (node.routing_object == kInvalidObjectId) return 0.0;  // root leaf
@@ -690,31 +674,7 @@ double MTreeBackend::PageMinDist(PageId page, const Query& q,
 
 Status MTreeBackend::ReadPageBlock(PageId page, QueryStats* stats,
                                    PageBlock* out) {
-  if (!finalized_) Finalize();
   return layout_.ReadBlock(page, stats, out);
-}
-
-DataLayout* MTreeBackend::MutableLayout() {
-  if (!finalized_) Finalize();
-  return &layout_;
-}
-
-Status MTreeBackend::SaveIndex(std::ostream& out) {
-  // Finalize first so the saved node -> page assignment is the one the
-  // persisted data pages use.
-  if (!finalized_) Finalize();
-  return SaveTo(out);
-}
-
-size_t MTreeBackend::NumDataPages() const {
-  size_t count = 0;
-  for (const MNode& n : nodes_) count += n.is_leaf ? 1 : 0;
-  return count;
-}
-
-void MTreeBackend::ResetIoState() {
-  if (!finalized_) Finalize();
-  layout_.ResetIoState();
 }
 
 MTreeShape MTreeBackend::Shape() const {
@@ -817,7 +777,6 @@ Status MTreeBackend::CheckSubtree(MNodeIndex node_index, size_t depth,
 }
 
 Status MTreeBackend::CheckInvariants() {
-  if (!finalized_) Finalize();
   size_t leaf_depth = 0;
   size_t objects_seen = 0;
   MSQ_RETURN_IF_ERROR(CheckSubtree(root_, 1, &leaf_depth, &objects_seen));

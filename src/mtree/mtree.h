@@ -81,19 +81,11 @@ class MTreeBackend : public QueryBackend {
       std::shared_ptr<const Dataset> dataset,
       std::shared_ptr<const Metric> metric, const MTreeOptions& options);
 
-  /// Inserts one dataset object.
-  Status Insert(ObjectId id);
-
-  /// Serializes the index structure (routing objects, radii, parent
-  /// distances — not the objects themselves) to a stream; the single-file
-  /// page store embeds it as its "index" object (MetricDatabase::Save).
-  Status SaveTo(std::ostream& out);
-
-  /// Restores an index serialized with SaveTo. The dataset (and metric!)
-  /// must be the ones the index was built with; size and dimensionality
-  /// are verified, and CheckInvariants re-validates the covering radii
-  /// under the supplied metric.
-  static StatusOr<std::unique_ptr<MTreeBackend>> LoadFrom(
+  /// Restores an index serialized with SaveIndex. The dataset (and
+  /// metric!) must be the ones the index was built with; size and
+  /// dimensionality are verified, and CheckInvariants re-validates the
+  /// covering radii under the supplied metric.
+  static StatusOr<std::unique_ptr<MTreeBackend>> LoadIndex(
       std::istream& in, std::shared_ptr<const Dataset> dataset,
       std::shared_ptr<const Metric> metric, const MTreeOptions& options);
 
@@ -103,22 +95,15 @@ class MTreeBackend : public QueryBackend {
                                               QueryStats* stats) override;
   double PageMinDist(PageId page, const Query& q, QueryStats* stats) override;
   Status ReadPageBlock(PageId page, QueryStats* stats, PageBlock* out) override;
-  DataLayout* MutableLayout() override;
+  DataLayout* MutableLayout() override { return &layout_; }
+  /// Serializes the index structure (routing objects, radii, parent
+  /// distances — not the objects themselves); the single-file page store
+  /// embeds it as its "index" object (MetricDatabase::Save).
   Status SaveIndex(std::ostream& out) override;
-  size_t NumDataPages() const override;
+  size_t NumDataPages() const override { return layout_.num_pages(); }
   size_t NumObjects() const override { return dataset_->size(); }
   const Vec& ObjectVec(ObjectId id) const override {
     return dataset_->object(id);
-  }
-  void ResetIoState() override;
-  void NoteFailedRead(QueryStats* stats) override {
-    layout_.NoteFailedRead(stats);
-  }
-  /// Remembered so the lazy Finalize() (which rebuilds layout_ wholesale)
-  /// can re-attach the sink to the new buffer pool.
-  void SetMetricsSink(const obs::MetricsSink* sink) override {
-    metrics_sink_ = sink;
-    layout_.SetMetricsSink(sink);
   }
   /// Keeps the table and builds per-subtree hyper-rings from its rows (see
   /// MNode::ring_min); search then cuts whole subtrees whose ring lies
@@ -142,6 +127,8 @@ class MTreeBackend : public QueryBackend {
   double Dist(ObjectId a, ObjectId b) const;
   double DistToVec(const Vec& v, ObjectId b) const;
 
+  /// Inserts one dataset object (build time only).
+  void Insert(ObjectId id);
   void InsertIntoLeaf(MNodeIndex leaf, ObjectId id, double dist_to_routing);
   void SplitNode(MNodeIndex node);
   /// Picks the two promoted positions among the split candidates, given
@@ -149,6 +136,8 @@ class MTreeBackend : public QueryBackend {
   std::pair<size_t, size_t> Promote(const std::vector<double>& pairwise,
                                     size_t count, ObjectId old_routing,
                                     const std::vector<ObjectId>& entry_objs);
+  /// Assigns leaf pages in DFS order and builds the data layout; every
+  /// factory ends with it.
   void Finalize();
   /// Rebuilds every subtree's hyper-rings from pivots_ (post-order, no
   /// distance computations). No-op without an attached table.
@@ -169,9 +158,7 @@ class MTreeBackend : public QueryBackend {
   size_t num_objects_indexed_ = 0;
 
   std::shared_ptr<const PivotTable> pivots_;
-  bool finalized_ = false;
   DataLayout layout_;
-  const obs::MetricsSink* metrics_sink_ = nullptr;
   std::vector<MNodeIndex> page_to_node_;
 };
 

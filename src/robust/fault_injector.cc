@@ -190,7 +190,9 @@ Status FaultInjectingBackend::ReadPageBlock(PageId page, QueryStats* stats,
   if (!st.ok()) {
     // The seek was attempted: charge it, and leave the simulated head
     // position unknown so the next successful read is a random access.
-    inner_->NoteFailedRead(stats);
+    if (DataLayout* layout = inner_->MutableLayout()) {
+      layout->NoteFailedRead(stats);
+    }
     return st;
   }
   return inner_->ReadPageBlock(page, stats, out);

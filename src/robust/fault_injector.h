@@ -169,13 +169,6 @@ class FaultInjectingBackend : public QueryBackend {
   const Vec& ObjectVec(ObjectId id) const override {
     return inner_->ObjectVec(id);
   }
-  void ResetIoState() override { inner_->ResetIoState(); }
-  void NoteFailedRead(QueryStats* stats) override {
-    inner_->NoteFailedRead(stats);
-  }
-  void SetMetricsSink(const obs::MetricsSink* sink) override {
-    inner_->SetMetricsSink(sink);
-  }
   void AttachPivots(std::shared_ptr<const PivotTable> pivots) override {
     inner_->AttachPivots(std::move(pivots));
   }

@@ -50,13 +50,6 @@ class LinearScanBackend : public QueryBackend {
   const Vec& ObjectVec(ObjectId id) const override {
     return dataset_->object(id);
   }
-  void ResetIoState() override { layout_.ResetIoState(); }
-  void NoteFailedRead(QueryStats* stats) override {
-    layout_.NoteFailedRead(stats);
-  }
-  void SetMetricsSink(const obs::MetricsSink* sink) override {
-    layout_.SetMetricsSink(sink);
-  }
 
  private:
   LinearScanBackend(std::shared_ptr<const Dataset> dataset, DataLayout layout)

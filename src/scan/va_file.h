@@ -64,13 +64,6 @@ class VaFileBackend : public QueryBackend {
   const Vec& ObjectVec(ObjectId id) const override {
     return dataset_->object(id);
   }
-  void ResetIoState() override { layout_.ResetIoState(); }
-  void NoteFailedRead(QueryStats* stats) override {
-    layout_.NoteFailedRead(stats);
-  }
-  void SetMetricsSink(const obs::MetricsSink* sink) override {
-    layout_.SetMetricsSink(sink);
-  }
 
   /// Number of pages occupied by the approximation file.
   size_t NumApproxPages() const { return approx_pages_; }

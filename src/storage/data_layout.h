@@ -51,8 +51,7 @@ class DataLayout {
   /// Packs each page's object vectors into a contiguous row-major block so
   /// ReadBlock can hand out PageBlock views. `objects[id]` must be the
   /// vector of object `id` (every id stored in the layout), all of size
-  /// `dim`. Idempotent: re-invoke after the page map changes (tree
-  /// re-finalization).
+  /// `dim`. Idempotent.
   void MaterializeRows(size_t dim, const std::vector<Vec>& objects);
 
   /// True once MaterializeRows has run for the current page map.

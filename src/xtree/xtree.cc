@@ -41,62 +41,57 @@ XTreeBackend::XTreeBackend(std::shared_ptr<const Dataset> dataset,
   root_ = 0;
 }
 
-StatusOr<std::unique_ptr<XTreeBackend>> XTreeBackend::BulkLoad(
-    std::shared_ptr<const Dataset> dataset,
-    std::shared_ptr<const Metric> metric, const XTreeOptions& options) {
+StatusOr<const BoxDistanceMetric*> XTreeBackend::Validate(
+    const std::shared_ptr<const Dataset>& dataset, const Metric& metric,
+    XTreeOptions* options) {
   if (dataset == nullptr || dataset->empty()) {
     return Status::InvalidArgument("dataset is empty");
   }
-  const auto* box = dynamic_cast<const BoxDistanceMetric*>(metric.get());
+  const auto* box = dynamic_cast<const BoxDistanceMetric*>(&metric);
   if (box == nullptr) {
     return Status::NotSupported("X-tree requires a metric with MINDIST "
-                                "support (Lp family); got " + metric->Name());
+                                "support (Lp family); got " + metric.Name());
   }
-  XTreeOptions opts = options;
-  if (opts.leaf_capacity == 0) {
-    opts.leaf_capacity = ObjectsPerPage(opts.page_size_bytes, dataset->dim());
+  if (options->leaf_capacity == 0) {
+    options->leaf_capacity =
+        ObjectsPerPage(options->page_size_bytes, dataset->dim());
   }
-  if (opts.dir_capacity == 0) {
-    opts.dir_capacity = DeriveDirCapacity(opts.page_size_bytes,
-                                          dataset->dim());
+  if (options->dir_capacity == 0) {
+    options->dir_capacity =
+        DeriveDirCapacity(options->page_size_bytes, dataset->dim());
   }
-  if (opts.leaf_capacity < 2 || opts.dir_capacity < 2) {
+  if (options->leaf_capacity < 2 || options->dir_capacity < 2) {
     return Status::InvalidArgument("page size too small for node capacity");
   }
-  auto tree = std::unique_ptr<XTreeBackend>(
-      new XTreeBackend(std::move(dataset), std::move(metric), box, opts));
+  return box;
+}
+
+StatusOr<std::unique_ptr<XTreeBackend>> XTreeBackend::BulkLoad(
+    std::shared_ptr<const Dataset> dataset,
+    std::shared_ptr<const Metric> metric, const XTreeOptions& options) {
+  XTreeOptions opts = options;
+  auto box = Validate(dataset, *metric, &opts);
+  if (!box.ok()) return box.status();
+  auto tree = std::unique_ptr<XTreeBackend>(new XTreeBackend(
+      std::move(dataset), std::move(metric), box.value(), opts));
   tree->BulkBuild();
+  tree->Finalize();
   return tree;
 }
 
 StatusOr<std::unique_ptr<XTreeBackend>> XTreeBackend::BuildByInsertion(
     std::shared_ptr<const Dataset> dataset,
     std::shared_ptr<const Metric> metric, const XTreeOptions& options) {
-  if (dataset == nullptr || dataset->empty()) {
-    return Status::InvalidArgument("dataset is empty");
-  }
-  const auto* box = dynamic_cast<const BoxDistanceMetric*>(metric.get());
-  if (box == nullptr) {
-    return Status::NotSupported("X-tree requires a metric with MINDIST "
-                                "support (Lp family); got " + metric->Name());
-  }
   XTreeOptions opts = options;
-  if (opts.leaf_capacity == 0) {
-    opts.leaf_capacity = ObjectsPerPage(opts.page_size_bytes, dataset->dim());
-  }
-  if (opts.dir_capacity == 0) {
-    opts.dir_capacity = DeriveDirCapacity(opts.page_size_bytes,
-                                          dataset->dim());
-  }
-  if (opts.leaf_capacity < 2 || opts.dir_capacity < 2) {
-    return Status::InvalidArgument("page size too small for node capacity");
-  }
+  auto box = Validate(dataset, *metric, &opts);
+  if (!box.ok()) return box.status();
   const size_t n = dataset->size();
-  auto tree = std::unique_ptr<XTreeBackend>(
-      new XTreeBackend(std::move(dataset), std::move(metric), box, opts));
+  auto tree = std::unique_ptr<XTreeBackend>(new XTreeBackend(
+      std::move(dataset), std::move(metric), box.value(), opts));
   for (ObjectId id = 0; id < n; ++id) {
-    MSQ_RETURN_IF_ERROR(tree->Insert(id));
+    tree->Insert(id);
   }
+  tree->Finalize();
   return tree;
 }
 
@@ -123,21 +118,11 @@ size_t XTreeBackend::DirMinFillCount() const {
 // Dynamic insertion
 // --------------------------------------------------------------------
 
-Status XTreeBackend::Insert(ObjectId id) {
-  if (id >= dataset_->size()) {
-    return Status::InvalidArgument("object id out of range");
-  }
-  if (layout_.has_store()) {
-    // Re-finalizing would reshuffle pages out from under the on-disk
-    // extents; the persistent store is read-only by design.
-    return Status::NotSupported("cannot insert into a persistent store");
-  }
-  MarkDirty();
+void XTreeBackend::Insert(ObjectId id) {
   const Vec& p = dataset_->object(id);
   const XNodeIndex leaf = ChooseSubtree(p);
   InsertIntoLeaf(leaf, id, /*may_reinsert=*/options_.enable_reinsert);
   ++num_objects_indexed_;
-  return Status::OK();
 }
 
 XNodeIndex XTreeBackend::ChooseSubtree(const Vec& p) const {
@@ -443,7 +428,7 @@ constexpr uint32_t kXTreeMagic = 0x4d535158;  // "MSQX"
 constexpr uint32_t kXTreeVersion = 1;
 }  // namespace
 
-Status XTreeBackend::SaveTo(std::ostream& out) {
+Status XTreeBackend::SaveIndex(std::ostream& out) {
   MSQ_RETURN_IF_ERROR(WriteU32(out, kXTreeMagic));
   MSQ_RETURN_IF_ERROR(WriteU32(out, kXTreeVersion));
   MSQ_RETURN_IF_ERROR(WriteU32(out, static_cast<uint32_t>(dataset_->dim())));
@@ -472,17 +457,12 @@ Status XTreeBackend::SaveTo(std::ostream& out) {
   return Status::OK();
 }
 
-StatusOr<std::unique_ptr<XTreeBackend>> XTreeBackend::LoadFrom(
+StatusOr<std::unique_ptr<XTreeBackend>> XTreeBackend::LoadIndex(
     std::istream& in, std::shared_ptr<const Dataset> dataset,
     std::shared_ptr<const Metric> metric, const XTreeOptions& options) {
-  if (dataset == nullptr || dataset->empty()) {
-    return Status::InvalidArgument("dataset is empty");
-  }
-  const auto* box = dynamic_cast<const BoxDistanceMetric*>(metric.get());
-  if (box == nullptr) {
-    return Status::NotSupported("X-tree requires a metric with MINDIST "
-                                "support (Lp family); got " + metric->Name());
-  }
+  XTreeOptions opts = options;
+  auto box = Validate(dataset, *metric, &opts);
+  if (!box.ok()) return box.status();
   uint32_t magic = 0, version = 0, dim = 0;
   MSQ_RETURN_IF_ERROR(ReadU32(in, &magic));
   MSQ_RETURN_IF_ERROR(ReadU32(in, &version));
@@ -499,7 +479,6 @@ StatusOr<std::unique_ptr<XTreeBackend>> XTreeBackend::LoadFrom(
   if (indexed != dataset->size()) {
     return Status::InvalidArgument("index built over a different dataset");
   }
-  XTreeOptions opts = options;
   uint32_t leaf_cap = 0, dir_cap = 0, root = 0, node_count = 0;
   MSQ_RETURN_IF_ERROR(ReadU32(in, &leaf_cap));
   MSQ_RETURN_IF_ERROR(ReadU32(in, &dir_cap));
@@ -513,7 +492,7 @@ StatusOr<std::unique_ptr<XTreeBackend>> XTreeBackend::LoadFrom(
   }
 
   auto tree = std::unique_ptr<XTreeBackend>(
-      new XTreeBackend(dataset, std::move(metric), box, opts));
+      new XTreeBackend(dataset, std::move(metric), box.value(), opts));
   tree->nodes_.clear();
   tree->nodes_.resize(node_count);
   for (XNode& node : tree->nodes_) {
@@ -553,7 +532,7 @@ StatusOr<std::unique_ptr<XTreeBackend>> XTreeBackend::LoadFrom(
   }
   tree->root_ = root;
   tree->num_objects_indexed_ = indexed;
-  tree->MarkDirty();
+  tree->Finalize();
   MSQ_RETURN_IF_ERROR(tree->CheckInvariants());
   return tree;
 }
@@ -601,7 +580,6 @@ void XTreeBackend::BulkBuild() {
   root_ = level.front();
   nodes_[root_].parent = kInvalidNode;
   num_objects_indexed_ = dataset_->size();
-  MarkDirty();
 }
 
 std::vector<XNodeIndex> XTreeBackend::BulkLeaves(std::vector<ObjectId>* ids) {
@@ -735,7 +713,7 @@ std::vector<XNodeIndex> XTreeBackend::BulkGroup(
 
 void XTreeBackend::Finalize() {
   // Assign page ids to leaves in DFS order (spatial locality on "disk")
-  // and rebuild the data layout.
+  // and build the data layout.
   std::vector<std::vector<ObjectId>> groups;
   page_to_node_.clear();
   std::vector<XNodeIndex> stack{root_};
@@ -760,8 +738,6 @@ void XTreeBackend::Finalize() {
                 static_cast<double>(shape.total_blocks)));
   layout_ = DataLayout::FromGroups(std::move(groups), buffer_pages);
   layout_.MaterializeRows(dataset_->dim(), dataset_->objects());
-  layout_.SetMetricsSink(metrics_sink_);
-  finalized_ = true;
 }
 
 namespace {
@@ -818,7 +794,6 @@ class XTreeStream : public CandidateStream {
 std::unique_ptr<CandidateStream> XTreeBackend::OpenStream(const Query& query,
                                                           QueryStats* stats) {
   (void)stats;  // Directory traversal performs no metered operations.
-  if (!finalized_) Finalize();
   return std::make_unique<XTreeStream>(&nodes_, root_, query.point,
                                        box_metric_);
 }
@@ -826,39 +801,13 @@ std::unique_ptr<CandidateStream> XTreeBackend::OpenStream(const Query& query,
 double XTreeBackend::PageMinDist(PageId page, const Query& q,
                                  QueryStats* stats) {
   (void)stats;
-  if (!finalized_) Finalize();
   assert(page < page_to_node_.size());
   return nodes_[page_to_node_[page]].mbr.MinDist(q.point, *box_metric_);
 }
 
 Status XTreeBackend::ReadPageBlock(PageId page, QueryStats* stats,
                                    PageBlock* out) {
-  if (!finalized_) Finalize();
   return layout_.ReadBlock(page, stats, out);
-}
-
-DataLayout* XTreeBackend::MutableLayout() {
-  if (!finalized_) Finalize();
-  return &layout_;
-}
-
-Status XTreeBackend::SaveIndex(std::ostream& out) {
-  // Finalize first so the saved node -> page assignment is the one the
-  // persisted data pages use.
-  if (!finalized_) Finalize();
-  return SaveTo(out);
-}
-
-size_t XTreeBackend::NumDataPages() const {
-  // Every leaf is one data page whether or not pages are assigned yet.
-  size_t count = 0;
-  for (const XNode& n : nodes_) count += n.is_leaf ? 1 : 0;
-  return count;
-}
-
-void XTreeBackend::ResetIoState() {
-  if (!finalized_) Finalize();
-  layout_.ResetIoState();
 }
 
 XTreeShape XTreeBackend::Shape() const {
@@ -892,7 +841,6 @@ XTreeShape XTreeBackend::Shape() const {
 }
 
 Status XTreeBackend::CheckInvariants() {
-  if (!finalized_) Finalize();
   // Uniform leaf depth + parent/MBR consistency.
   std::vector<std::pair<XNodeIndex, size_t>> stack{{root_, 0}};
   size_t leaf_depth = 0;

@@ -76,18 +76,9 @@ class XTreeBackend : public QueryBackend {
       std::shared_ptr<const Dataset> dataset,
       std::shared_ptr<const Metric> metric, const XTreeOptions& options);
 
-  /// Inserts one dataset object (id must be valid for the dataset). The
-  /// tree re-finalizes its page layout lazily before the next query.
-  Status Insert(ObjectId id);
-
-  /// Serializes the index structure (not the objects — those live in the
-  /// dataset) to a stream; the single-file page store embeds it as its
-  /// "index" object (MetricDatabase::Save).
-  Status SaveTo(std::ostream& out);
-
-  /// Restores an index serialized with SaveTo. The dataset must be the one
-  /// the index was built over (size and dimensionality are verified).
-  static StatusOr<std::unique_ptr<XTreeBackend>> LoadFrom(
+  /// Restores an index serialized with SaveIndex. The dataset must be the
+  /// one the index was built over (size and dimensionality are verified).
+  static StatusOr<std::unique_ptr<XTreeBackend>> LoadIndex(
       std::istream& in, std::shared_ptr<const Dataset> dataset,
       std::shared_ptr<const Metric> metric, const XTreeOptions& options);
 
@@ -97,22 +88,15 @@ class XTreeBackend : public QueryBackend {
                                               QueryStats* stats) override;
   double PageMinDist(PageId page, const Query& q, QueryStats* stats) override;
   Status ReadPageBlock(PageId page, QueryStats* stats, PageBlock* out) override;
-  DataLayout* MutableLayout() override;
+  DataLayout* MutableLayout() override { return &layout_; }
+  /// Serializes the index structure (not the objects — those live in the
+  /// dataset); the single-file page store embeds it as its "index" object
+  /// (MetricDatabase::Save).
   Status SaveIndex(std::ostream& out) override;
-  size_t NumDataPages() const override;
+  size_t NumDataPages() const override { return layout_.num_pages(); }
   size_t NumObjects() const override { return dataset_->size(); }
   const Vec& ObjectVec(ObjectId id) const override {
     return dataset_->object(id);
-  }
-  void ResetIoState() override;
-  void NoteFailedRead(QueryStats* stats) override {
-    layout_.NoteFailedRead(stats);
-  }
-  /// Remembered so the lazy Finalize() (which rebuilds layout_ wholesale)
-  /// can re-attach the sink to the new buffer pool.
-  void SetMetricsSink(const obs::MetricsSink* sink) override {
-    metrics_sink_ = sink;
-    layout_.SetMetricsSink(sink);
   }
 
   // --- introspection ---------------------------------------------------
@@ -129,7 +113,15 @@ class XTreeBackend : public QueryBackend {
 
   friend class XTreeStream;
 
-  // Dynamic-insertion internals.
+  /// Checks the dataset and metric, and derives zero capacities in
+  /// `options` from the page size (shared by every factory).
+  static StatusOr<const BoxDistanceMetric*> Validate(
+      const std::shared_ptr<const Dataset>& dataset, const Metric& metric,
+      XTreeOptions* options);
+
+  // Dynamic-insertion internals (build time only).
+  /// Inserts one dataset object (id must be valid for the dataset).
+  void Insert(ObjectId id);
   XNodeIndex ChooseSubtree(const Vec& p) const;
   void InsertIntoLeaf(XNodeIndex leaf, ObjectId id, bool may_reinsert);
   void HandleLeafOverflow(XNodeIndex leaf, bool may_reinsert);
@@ -149,9 +141,9 @@ class XTreeBackend : public QueryBackend {
   std::vector<XNodeIndex> BulkLeaves(std::vector<ObjectId>* ids);
   std::vector<XNodeIndex> BulkGroup(std::vector<XNodeIndex>* children);
 
-  /// Assigns leaf pages in DFS order and rebuilds the data layout.
+  /// Assigns leaf pages in DFS order and builds the data layout; every
+  /// factory ends with it.
   void Finalize();
-  void MarkDirty() { finalized_ = false; }
 
   std::shared_ptr<const Dataset> dataset_;
   std::shared_ptr<const Metric> metric_;
@@ -162,9 +154,7 @@ class XTreeBackend : public QueryBackend {
   XNodeIndex root_ = kInvalidNode;
   size_t num_objects_indexed_ = 0;
 
-  bool finalized_ = false;
   DataLayout layout_;
-  const obs::MetricsSink* metrics_sink_ = nullptr;
   std::vector<XNodeIndex> page_to_node_;
 };
 

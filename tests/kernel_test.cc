@@ -162,7 +162,6 @@ TEST_P(KernelBlockReadTest, BlockMatchesObjectVectors) {
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   QueryBackend& backend = (*db)->backend();
 
-  // Trees finalize their layout lazily; MutableLayout() forces it.
   const DataLayout* layout = backend.MutableLayout();
   ASSERT_NE(layout, nullptr);
 

@@ -2,7 +2,8 @@
 // reclamation, the chunked copy-on-write container, two-tier pivot rows,
 // insert/delete visibility against every backend, the overlay's page-read
 // contract (range check, read faults surfacing through the tombstone
-// filter), quiesced equality (a
+// filter), storage wiring of a compacted base (metrics sink, cold reset),
+// quiesced equality (a
 // mutated-then-compacted database answers bit-identically to a fresh build
 // of the same final object set, pivots on and off), persistence of the
 // mutated state through the page store, a mixed reader/writer stress run
@@ -28,6 +29,8 @@
 #include "core/pivot_table.h"
 #include "dataset/generators.h"
 #include "dist/builtin_metrics.h"
+#include "obs/metrics.h"
+#include "obs/sink.h"
 #include "parallel/thread_pool.h"
 #include "robust/fault_injector.h"
 #include "service/batch_scheduler.h"
@@ -382,6 +385,60 @@ TEST(MutateTest, ReadPageBlockRejectsOutOfRangePage) {
   EXPECT_TRUE(
       backend.ReadPageBlock(static_cast<PageId>(pages + 7), &stats, &block)
           .IsInvalidArgument());
+}
+
+// Compaction swaps in a new base backend, so the database must re-wire
+// that base's storage: the buffer pool reports to the database's metrics
+// sink, and ResetAll cold-starts the new base's buffer and disk head. The
+// buffer holds every page, so a warm pool would turn every later read
+// into a hit.
+TEST(MutateTest, CompactedBaseKeepsMetricsSinkAndColdReset) {
+  const Dataset base = MakeUniformDataset(400, 6, 71);
+  const Dataset adds = MakeUniformDataset(60, 6, 72);
+  const Dataset probes = MakeUniformDataset(8, 6, 73);
+  std::vector<Query> queries;
+  for (size_t i = 0; i < probes.size(); ++i) {
+    queries.push_back({static_cast<QueryId>(9000 + i),
+                       probes.object(static_cast<ObjectId>(i)),
+                       QueryType::Knn(6)});
+  }
+  for (BackendKind kind : kAllBackends) {
+    SCOPED_TRACE(BackendKindName(kind));
+    obs::MetricsRegistry registry;
+    obs::MetricsSink sink(&registry, nullptr);
+    DatabaseOptions options;
+    options.backend = kind;
+    options.page_size_bytes = 1024;
+    options.buffer_fraction = 1.0;
+    options.multi.metrics = &sink;
+    auto db = MetricDatabase::Open(base, std::make_shared<EuclideanMetric>(),
+                                   options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    for (size_t i = 0; i < adds.size(); ++i) {
+      ASSERT_TRUE((*db)->Insert(adds.object(static_cast<ObjectId>(i))).ok());
+    }
+    ASSERT_TRUE((*db)->Compact().ok());
+
+    const obs::Counter* misses =
+        registry.GetCounter("msq_buffer_pool_misses_total");
+    const uint64_t misses_before = misses->Value();
+    ASSERT_TRUE((*db)->MultipleSimilarityQueryAll(queries).ok());
+    EXPECT_GT(misses->Value(), misses_before);
+
+    (*db)->ResetAll();
+    ASSERT_TRUE((*db)->MultipleSimilarityQueryAll(queries).ok());
+    auto fresh = MetricDatabase::Open(*(*db)->CurrentVersion()->base_dataset,
+                                      std::make_shared<EuclideanMetric>(),
+                                      options);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    ASSERT_TRUE((*fresh)->MultipleSimilarityQueryAll(queries).ok());
+    const QueryStats& reset = (*db)->stats();
+    const QueryStats& cold = (*fresh)->stats();
+    EXPECT_GT(cold.TotalPageReads(), 0u);
+    EXPECT_EQ(reset.random_page_reads, cold.random_page_reads);
+    EXPECT_EQ(reset.seq_page_reads, cold.seq_page_reads);
+    EXPECT_EQ(reset.buffer_hits, cold.buffer_hits);
+  }
 }
 
 // A base page read that fails behind the tombstone filter must fail the

@@ -1,5 +1,5 @@
 // Tests of index persistence: X-tree and M-tree structures round-trip
-// through their serialized index streams (SaveTo/LoadFrom, the bytes
+// through their serialized index streams (SaveIndex/LoadIndex, the bytes
 // MetricDatabase::Save embeds in its page file), loaded indexes answer
 // queries identically, and corrupted or mismatched streams are rejected.
 
@@ -36,8 +36,8 @@ TEST(XTreePersistenceTest, RoundTripPreservesStructureAndAnswers) {
   ASSERT_TRUE(original.ok());
 
   std::stringstream bytes;
-  ASSERT_TRUE((*original)->SaveTo(bytes).ok());
-  auto loaded = XTreeBackend::LoadFrom(bytes, dataset, metric, options);
+  ASSERT_TRUE((*original)->SaveIndex(bytes).ok());
+  auto loaded = XTreeBackend::LoadIndex(bytes, dataset, metric, options);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   const XTreeShape a = (*original)->Shape();
@@ -72,8 +72,8 @@ TEST(XTreePersistenceTest, DynamicTreeWithSupernodesRoundTrips) {
   ASSERT_TRUE(original.ok());
   ASSERT_GT((*original)->Shape().num_supernodes, 0u);
   std::stringstream bytes;
-  ASSERT_TRUE((*original)->SaveTo(bytes).ok());
-  auto loaded = XTreeBackend::LoadFrom(bytes, dataset, metric, options);
+  ASSERT_TRUE((*original)->SaveIndex(bytes).ok());
+  auto loaded = XTreeBackend::LoadIndex(bytes, dataset, metric, options);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ((*loaded)->Shape().num_supernodes,
             (*original)->Shape().num_supernodes);
@@ -85,18 +85,18 @@ TEST(XTreePersistenceTest, RejectsWrongDataset) {
   auto tree = XTreeBackend::BulkLoad(dataset, metric, {});
   ASSERT_TRUE(tree.ok());
   std::stringstream bytes;
-  ASSERT_TRUE((*tree)->SaveTo(bytes).ok());
+  ASSERT_TRUE((*tree)->SaveIndex(bytes).ok());
   const std::string saved = bytes.str();
   // Different size.
   auto smaller = SharedDataset(MakeUniformDataset(400, 4, 1007));
   std::istringstream in_smaller(saved);
-  EXPECT_TRUE(XTreeBackend::LoadFrom(in_smaller, smaller, metric, {})
+  EXPECT_TRUE(XTreeBackend::LoadIndex(in_smaller, smaller, metric, {})
                   .status()
                   .IsInvalidArgument());
   // Different dimensionality.
   auto other_dim = SharedDataset(MakeUniformDataset(500, 5, 1007));
   std::istringstream in_other_dim(saved);
-  EXPECT_TRUE(XTreeBackend::LoadFrom(in_other_dim, other_dim, metric, {})
+  EXPECT_TRUE(XTreeBackend::LoadIndex(in_other_dim, other_dim, metric, {})
                   .status()
                   .IsInvalidArgument());
 }
@@ -105,7 +105,7 @@ TEST(XTreePersistenceTest, RejectsGarbageFile) {
   std::istringstream bytes("certainly not an index");
   auto dataset = SharedDataset(MakeUniformDataset(100, 4, 1009));
   auto metric = std::make_shared<EuclideanMetric>();
-  EXPECT_TRUE(XTreeBackend::LoadFrom(bytes, dataset, metric, {})
+  EXPECT_TRUE(XTreeBackend::LoadIndex(bytes, dataset, metric, {})
                   .status()
                   .IsCorruption());
 }
@@ -119,8 +119,8 @@ TEST(MTreePersistenceTest, RoundTripPreservesAnswers) {
   auto original = MTreeBackend::Build(dataset, metric, options);
   ASSERT_TRUE(original.ok());
   std::stringstream bytes;
-  ASSERT_TRUE((*original)->SaveTo(bytes).ok());
-  auto loaded = MTreeBackend::LoadFrom(bytes, dataset, metric, options);
+  ASSERT_TRUE((*original)->SaveIndex(bytes).ok());
+  auto loaded = MTreeBackend::LoadIndex(bytes, dataset, metric, options);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE((*loaded)->CheckInvariants().ok());
 
@@ -149,11 +149,11 @@ TEST(MTreePersistenceTest, LoadingWithWrongMetricFailsInvariants) {
   auto tree = MTreeBackend::Build(dataset, euclid, options);
   ASSERT_TRUE(tree.ok());
   std::stringstream bytes;
-  ASSERT_TRUE((*tree)->SaveTo(bytes).ok());
+  ASSERT_TRUE((*tree)->SaveIndex(bytes).ok());
   // Manhattan distances differ, so the stored radii/parent distances no
   // longer verify — the load must fail loudly instead of mis-answering.
   auto manhattan = std::make_shared<ManhattanMetric>();
-  EXPECT_TRUE(MTreeBackend::LoadFrom(bytes, dataset, manhattan, options)
+  EXPECT_TRUE(MTreeBackend::LoadIndex(bytes, dataset, manhattan, options)
                   .status()
                   .IsCorruption());
 }
@@ -166,8 +166,8 @@ TEST(MTreePersistenceTest, EditDistanceIndexRoundTrips) {
   auto original = MTreeBackend::Build(dataset, metric, options);
   ASSERT_TRUE(original.ok());
   std::stringstream bytes;
-  ASSERT_TRUE((*original)->SaveTo(bytes).ok());
-  auto loaded = MTreeBackend::LoadFrom(bytes, dataset, metric, options);
+  ASSERT_TRUE((*original)->SaveIndex(bytes).ok());
+  auto loaded = MTreeBackend::LoadIndex(bytes, dataset, metric, options);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   CountingMetric counted(metric);
   Query q{1, dataset->object(7), QueryType::Knn(4)};
@@ -184,11 +184,11 @@ TEST(MTreePersistenceTest, RejectsTruncatedFile) {
   auto tree = MTreeBackend::Build(dataset, metric, {});
   ASSERT_TRUE(tree.ok());
   std::stringstream bytes;
-  ASSERT_TRUE((*tree)->SaveTo(bytes).ok());
+  ASSERT_TRUE((*tree)->SaveIndex(bytes).ok());
   // Truncate to half.
   const std::string saved = bytes.str();
   std::istringstream truncated(saved.substr(0, saved.size() / 2));
-  EXPECT_FALSE(MTreeBackend::LoadFrom(truncated, dataset, metric, {}).ok());
+  EXPECT_FALSE(MTreeBackend::LoadIndex(truncated, dataset, metric, {}).ok());
 }
 
 }  // namespace

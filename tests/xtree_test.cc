@@ -270,25 +270,6 @@ TEST(XTreeTest, DynamicQueriesMatchBruteForce) {
   }
 }
 
-TEST(XTreeTest, InsertAfterBulkLoadKeepsInvariantsAndAnswers) {
-  Dataset raw = MakeUniformDataset(1000, 4, 421);
-  auto dataset = SharedDataset(raw);
-  auto metric = std::make_shared<EuclideanMetric>();
-  XTreeOptions options;
-  options.page_size_bytes = 1024;
-  // Bulk load only the first half, then insert the rest dynamically.
-  // (BulkLoad indexes the whole dataset; emulate by building dynamically
-  // from a bulk-loaded subset is not supported, so here we simply verify
-  // that Insert on top of a bulk-loaded tree is rejected for duplicate
-  // coverage or accepted and consistent.)
-  auto tree = XTreeBackend::BulkLoad(dataset, metric, options);
-  ASSERT_TRUE(tree.ok());
-  // Inserting an existing object again is allowed structurally; the tree
-  // then indexes it twice, which CheckInvariants flags via the layout.
-  EXPECT_TRUE((*tree)->Insert(0).ok());
-  EXPECT_FALSE((*tree)->CheckInvariants().ok());
-}
-
 TEST(XTreeTest, RejectsMetricWithoutBoxSupport) {
   auto dataset = SharedDataset(MakeUniformDataset(100, 4, 423));
   auto metric = std::make_shared<AngularMetric>();
