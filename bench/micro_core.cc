@@ -1,15 +1,21 @@
 // Micro-benchmarks of the engine's hot paths (google-benchmark): answer
-// accumulation, query-distance-matrix preparation, avoidance checks, MBR
-// MINDIST, buffer pool access, and end-to-end single-query latency per
-// backend.
+// accumulation, query-distance-matrix preparation, avoidance checks, the
+// per-page pivot filter, MBR MINDIST, buffer pool access, the page-store
+// checksum, and end-to-end single-query latency per backend.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "core/answer_list.h"
 #include "core/avoidance.h"
 #include "core/database.h"
 #include "core/distance_matrix.h"
+#include "core/pivot_table.h"
 #include "dataset/generators.h"
 #include "dist/builtin_metrics.h"
 #include "storage/buffer_pool.h"
@@ -79,6 +85,53 @@ void BM_AvoidanceCheck(benchmark::State& state) {
 }
 BENCHMARK(BM_AvoidanceCheck)->Arg(1)->Arg(8)->Arg(64);
 
+// Phase-1 pivot filter of one page for one query: p=16 pivots over a
+// 280-object page (a 24 KiB page of 20-d float vectors), at a radius that
+// proves about half of the (object, pivot) gaps. The kernel has no data-
+// dependent branch, so its time does not depend on the radius.
+void BM_PivotFilterPage(benchmark::State& state) {
+  constexpr size_t kObjects = 280;
+  static Dataset dataset = MakeUniformDataset(20000, 20, 43);
+  EuclideanMetric metric;
+  PivotTableOptions options;
+  options.num_pivots = 16;
+  auto table = PivotTable::Build(dataset, metric, options);
+  if (!table.ok()) {
+    state.SkipWithError(table.status().ToString().c_str());
+    return;
+  }
+  const size_t p = (*table)->num_pivots();
+  Rng rng(47);
+  std::vector<ObjectId> ids(kObjects);
+  for (ObjectId& id : ids) {
+    id = static_cast<ObjectId>(rng.NextIndex(dataset.size()));
+  }
+  PivotPageBlock block;
+  block.Gather(**table, ids);
+  std::vector<double> query_row;
+  (*table)->QueryDists(dataset.object(0), metric, nullptr, &query_row);
+  std::vector<double> gaps;
+  for (ObjectId id : ids) {
+    for (size_t k = 0; k < p; ++k) {
+      gaps.push_back(std::fabs((*table)->Row(id)[k] - query_row[k]));
+    }
+  }
+  std::nth_element(gaps.begin(), gaps.begin() + gaps.size() / 2, gaps.end());
+  const double radius = gaps[gaps.size() / 2];
+  std::vector<uint32_t> survivors;
+  QueryStats stats;
+  for (auto _ : state) {
+    survivors.clear();
+    block.Filter(query_row.data(), radius, &survivors, &stats);
+    benchmark::DoNotOptimize(survivors.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kObjects));
+  state.SetLabel("p=" + std::to_string(p) +
+                 " objects=" + std::to_string(kObjects));
+}
+BENCHMARK(BM_PivotFilterPage);
+
 void BM_MbrMinDist(benchmark::State& state) {
   const size_t dim = static_cast<size_t>(state.range(0));
   Rng rng(19);
@@ -108,6 +161,19 @@ void BM_BufferPoolAccess(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BufferPoolAccess);
+
+// The checksum every page-store extent read pays on a buffer-pool miss.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<unsigned char> page(static_cast<size_t>(state.range(0)));
+  Rng rng(53);
+  for (auto& b : page) b = static_cast<unsigned char>(rng.NextU64());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(page.data(), page.size()));
+  }
+  state.SetBytesProcessed(
+      static_cast<int64_t>(state.iterations() * page.size()));
+}
+BENCHMARK(BM_Crc32)->Arg(24 * 1024)->Arg(32 * 1024);
 
 void BM_SingleKnnQuery(benchmark::State& state) {
   const auto backend = static_cast<BackendKind>(state.range(0));

@@ -28,7 +28,7 @@ namespace msq {
 struct BufferedQueryState {
   Query query;
   AnswerList answers;
-  std::unordered_set<PageId> accounted_pages;
+  PageSet accounted_pages;
   bool complete = false;
   /// Upper bound on the query's *final* answer radius, derived from other
   /// batch queries via the triangle inequality (see multi_query.cc).

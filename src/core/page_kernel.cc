@@ -14,18 +14,6 @@ void PageKernel::ProcessPage(const PageBlock& block,
                              size_t max_witnesses, const PivotTable* pivots,
                              bool batched, QueryStats* stats) {
   if (block.size() == 0 || active.empty()) return;
-  if (pivots != nullptr) {
-    // Gather the page objects' pivot rows into one contiguous per-page
-    // block, mirroring the packed vector rows: every active query scans
-    // the same rows in page-local order, so the gather amortizes over the
-    // batch and the filter loop streams sequential memory.
-    const size_t p = pivots->num_pivots();
-    pivot_rows_.resize(block.size() * p);
-    for (size_t o = 0; o < block.size(); ++o) {
-      const double* r = pivots->Row(block.ids[o]);
-      std::copy(r, r + p, pivot_rows_.data() + o * p);
-    }
-  }
   if (batched) {
     ProcessBatched(block, active, metric, cache, max_witnesses, pivots, stats);
   } else {
@@ -53,7 +41,7 @@ void PageKernel::ProcessScalar(const PageBlock& block,
       // the per-batch Lemma 1/2 witnesses. An avoided object contributes no
       // witness for later queries, exactly like a triangle-avoided one.
       if (pivots != nullptr && aq.pivot_dists != nullptr &&
-          PivotCanAvoid(pivot_rows_.data() + o * p, aq.pivot_dists, p,
+          PivotCanAvoid(pivots->Row(block.ids[o]), aq.pivot_dists, p,
                         query_dist, stats)) {
         continue;  // dist(obj, Q) proven > the final answer radius.
       }
@@ -110,6 +98,10 @@ void PageKernel::ProcessBatched(const PageBlock& block,
     if (known_.size() < n) known_.resize(n);
     for (size_t o = 0; o < n; ++o) known_[o].clear();
   }
+  if (pivots != nullptr) {
+    // One pivot-major gather per page, filtered by every active query.
+    page_pivots_.Gather(*pivots, std::span<const ObjectId>(block.ids, n));
+  }
 
   for (ActiveQuery& aq : active) {
     const double* qp = pivots != nullptr ? aq.pivot_dists : nullptr;
@@ -118,19 +110,25 @@ void PageKernel::ProcessBatched(const PageBlock& block,
     // phase-1 filter under-avoids, never over-avoids.
     const double r0 = std::min(aq.answers->QueryDist(), aq.derived_bound);
 
+    // Phase 1. Pivot-avoided objects are final: the scalar loop avoids
+    // them too. The pivot survivors then face the Lemma-1/2 witnesses.
     survivors_.clear();
-    for (uint32_t o = 0; o < n; ++o) {
-      if (qp != nullptr &&
-          PivotCanAvoid(pivot_rows_.data() + static_cast<size_t>(o) * p, qp, p,
-                        r0, stats)) {
-        continue;  // Final: the scalar loop avoids this object too.
+    if (qp != nullptr) {
+      page_pivots_.Filter(qp, r0, &survivors_, stats);
+    } else {
+      survivors_.resize(n);
+      for (uint32_t o = 0; o < n; ++o) survivors_[o] = o;
+    }
+    if (cache != nullptr) {
+      size_t kept = 0;
+      for (const uint32_t o : survivors_) {
+        if (CanAvoidDistance(*cache, known_[o], aq.cache_index, r0, stats,
+                             max_witnesses)) {
+          continue;  // Final: the scalar loop avoids this object too.
+        }
+        survivors_[kept++] = o;
       }
-      if (cache != nullptr &&
-          CanAvoidDistance(*cache, known_[o], aq.cache_index, r0, stats,
-                           max_witnesses)) {
-        continue;  // Final: the scalar loop avoids this object too.
-      }
-      survivors_.push_back(o);
+      survivors_.resize(kept);
     }
     if (survivors_.empty()) continue;
 
@@ -173,8 +171,8 @@ void PageKernel::ProcessBatched(const PageBlock& block,
         // dist_computations charge, no witness, no offer — the scalar
         // outcome. (Retested objects pay *_tries twice; documented.)
         if (qp != nullptr &&
-            PivotCanAvoid(pivot_rows_.data() + static_cast<size_t>(o) * p, qp,
-                          p, query_dist, stats)) {
+            PivotCanAvoid(pivots->Row(block.ids[o]), qp, p, query_dist,
+                          stats)) {
           if (stats != nullptr) ++stats->kernel_speculative_dists;
           continue;
         }

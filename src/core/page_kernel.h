@@ -40,9 +40,13 @@
 // pivot inequality is monotone in the radius exactly like Lemma 1/2, so the
 // batched mode's phase-1/replay structure carries over unchanged: phase-1
 // pivot avoidance at r0 is final, and replay retests pivot-then-triangle
-// where the radius shrank. Answers, `dist_computations` and the *total*
-// avoided count (`pivot_avoided + triangle_avoided`) stay identical between
-// the modes. The per-layer split can shift: a smaller radius makes the
+// where the radius shrank. The batched mode gathers the page's pivot rows
+// once per page, pivot-major (PivotPageBlock), and runs phase 1's pivot
+// layer as one branch-free vector pass per (page, query) that charges
+// exactly the tries of the per-object early-exit loop; the replay retest
+// and the scalar mode read PivotTable::Row(id) through PivotCanAvoid.
+// Answers, `dist_computations` and the *total* avoided count
+// (`pivot_avoided + triangle_avoided`) stay identical between the modes. The per-layer split can shift: a smaller radius makes the
 // pivot bound *stronger*, so an avoidance that phase 1 (at r0) credited to
 // a Lemma-1/2 witness may, in the scalar mode's per-object radius, be
 // claimed by the pivot layer first. The *_tries counters can also differ
@@ -60,6 +64,7 @@
 #include "core/answer_list.h"
 #include "core/avoidance.h"
 #include "core/distance_matrix.h"
+#include "core/pivot_table.h"
 #include "dist/counting_metric.h"
 #include "storage/data_layout.h"
 
@@ -68,8 +73,6 @@ namespace msq {
 namespace obs {
 class Histogram;
 }  // namespace obs
-
-class PivotTable;
 
 /// Stateful (scratch-owning) page processor. Not thread-safe; each engine
 /// owns one. Reusing the kernel across pages keeps the per-object witness
@@ -125,10 +128,8 @@ class PageKernel {
   std::vector<uint32_t> survivors_;
   std::vector<Scalar> gather_;
   std::vector<double> dists_;
-  /// The current page's pivot rows gathered contiguously (page-local index
-  /// o's row at [o * p, (o+1) * p)); filled once per page, scanned by every
-  /// active query.
-  std::vector<double> pivot_rows_;
+  /// The current page's pivot rows, pivot-major (batched mode only).
+  PivotPageBlock page_pivots_;
   Vec row_scratch_;
 };
 

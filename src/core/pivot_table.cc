@@ -1,9 +1,11 @@
 #include "core/pivot_table.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <ostream>
 
+#include "common/isa_clones.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 
@@ -13,6 +15,48 @@ namespace {
 
 constexpr uint32_t kPivotMagic = 0x4d535150;  // "MSQP"
 constexpr uint32_t kPivotVersion = 1;
+
+/// Objects per PivotPageBlock tile: one AVX-512 vector of doubles.
+constexpr size_t kPivotTileObjects = 8;
+
+// For every lane o < stride: first[o] = the smallest k < p with
+// |cols[k * stride + o] - q[k]| > r, or p when there is none. Per 8-object
+// tile and 64-pivot chunk, each lane ORs one bit per proving pivot into a
+// mask with no data-dependent branch (the fixed-width lane loop, unrolled,
+// is what the vectorizer widens: one compare and one variable shift per
+// pivot and tile in the AVX2/AVX-512 clones); the chunk's first proving
+// pivot is the mask's count of trailing zeros. Only subtractions, absolute
+// values and compares: every clone computes the same bits.
+MSQ_KERNEL_ISA_CLONES
+void PivotFirstHits(const double* cols, size_t stride, size_t p,
+                    const double* q, double r, uint32_t* first) {
+  constexpr size_t kLanes = kPivotTileObjects;
+  for (size_t o = 0; o < stride; o += kLanes) {
+    uint64_t hit[kLanes];
+    for (size_t t = 0; t < kLanes; ++t) hit[t] = p;
+    for (size_t k0 = 0; k0 < p; k0 += 64) {
+      const size_t k1 = std::min(p, k0 + 64);
+      uint64_t mask[kLanes] = {};
+      for (size_t k = k0; k < k1; ++k) {
+        const double qk = q[k];
+        const double* col = cols + k * stride + o;
+#pragma GCC unroll 8
+        for (size_t t = 0; t < kLanes; ++t) {
+          mask[t] |= static_cast<uint64_t>(std::fabs(col[t] - qk) > r)
+                     << (k - k0);
+        }
+      }
+      for (size_t t = 0; t < kLanes; ++t) {
+        const uint64_t chunk_hit =
+            mask[t] != 0 ? k0 + std::countr_zero(mask[t]) : p;
+        hit[t] = std::min(hit[t], chunk_hit);
+      }
+    }
+    for (size_t t = 0; t < kLanes; ++t) {
+      first[o + t] = static_cast<uint32_t>(hit[t]);
+    }
+  }
+}
 
 }  // namespace
 
@@ -194,6 +238,56 @@ StatusOr<std::unique_ptr<PivotTable>> PivotTable::LoadFrom(
     }
   }
   return table;
+}
+
+void PivotPageBlock::Gather(const PivotTable& table,
+                            std::span<const ObjectId> ids) {
+  n_ = ids.size();
+  p_ = table.num_pivots();
+  stride_ = (n_ + kPivotTileObjects - 1) / kPivotTileObjects *
+            kPivotTileObjects;
+  cols_.resize(p_ * stride_);
+  first_.resize(stride_);
+  for (size_t o = 0; o < n_; ++o) {
+    const double* row = table.Row(ids[o]);
+    for (size_t k = 0; k < p_; ++k) cols_[k * stride_ + o] = row[k];
+  }
+  for (size_t k = 0; k < p_; ++k) {
+    std::fill(cols_.begin() + k * stride_ + n_,
+              cols_.begin() + (k + 1) * stride_,
+              std::numeric_limits<double>::quiet_NaN());
+  }
+}
+
+void PivotPageBlock::Filter(const double* query_row, double query_dist,
+                            std::vector<uint32_t>* survivors,
+                            QueryStats* stats) {
+  const size_t base = survivors->size();
+  survivors->resize(base + n_);
+  uint32_t* out = survivors->data() + base;
+  if (std::isinf(query_dist)) {
+    // PivotCanAvoid's unsaturated case: no pruning, no charge.
+    for (uint32_t o = 0; o < n_; ++o) out[o] = o;
+    return;
+  }
+  PivotFirstHits(cols_.data(), stride_, p_, query_row, query_dist,
+                 first_.data());
+  uint64_t tries = 0;
+  uint64_t avoided = 0;
+  size_t kept = 0;
+  for (uint32_t o = 0; o < n_; ++o) {
+    const uint32_t f = first_[o];
+    const bool avoid = f < p_;
+    tries += avoid ? f + 1 : p_;
+    avoided += avoid;
+    out[kept] = o;
+    kept += !avoid;
+  }
+  survivors->resize(base + kept);
+  if (stats != nullptr) {
+    stats->pivot_tries += tries;
+    stats->pivot_avoided += avoided;
+  }
 }
 
 }  // namespace msq

@@ -23,8 +23,11 @@
 // p distance computations from a query object to the pivot set charge
 // `pivot_dist_computations`.
 //
-// The page kernel gathers the active page's pivot rows into a contiguous
-// per-page block next to the vector tiles (see PageKernel), and the M-tree
+// The page kernel's batched mode gathers the active page's pivot rows
+// once per page into a pivot-major PivotPageBlock and filters the whole
+// page for one query with a branch-free, ISA-cloned kernel (see
+// PivotPageBlock::Filter); the scalar reference mode and the replay retest
+// read Row(id) directly through PivotCanAvoid. The M-tree
 // additionally keeps per-subtree min/max pivot distances ("hyper-rings",
 // after the PM-tree) that prune whole subtrees during descent. The table
 // itself is versioned through the single-file page store as the "pivots"
@@ -37,6 +40,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/stats.h"
@@ -155,6 +159,40 @@ inline bool PivotCanAvoid(const double* object_row, const double* query_row,
   }
   return false;
 }
+
+/// One page's pivot rows, gathered pivot-major for the page kernel's
+/// phase-1 filter: pivot k's distances to the page objects are contiguous
+/// at [k * stride, k * stride + size()), where stride rounds size() up to
+/// a whole 8-object tile (padding lanes hold NaN, which proves nothing).
+/// Filter then tests a tile of objects against one pivot per vector
+/// compare instead of walking each object's row with an early exit.
+/// Gathered once per page, filtered once per (page, active query).
+class PivotPageBlock {
+ public:
+  /// Gathers the pivot rows of `ids` (page-local order) from `table`.
+  void Gather(const PivotTable& table, std::span<const ObjectId> ids);
+
+  size_t size() const { return n_; }
+
+  /// Appends to `*survivors`, in ascending order, the page-local index of
+  /// every object that PivotCanAvoid(table.Row(id), query_row, p,
+  /// query_dist) would not avoid, and charges `stats` (may be null)
+  /// exactly what that early-exit loop charges: `pivot_tries` += k+1 and
+  /// `pivot_avoided` += 1 for an object whose first proving pivot is k,
+  /// `pivot_tries` += p for a survivor, nothing at all when `query_dist`
+  /// is infinite. Each object's mask of proving pivots is computed branch-
+  /// free in 64-pivot chunks; its count of trailing zeros is the first
+  /// proving pivot.
+  void Filter(const double* query_row, double query_dist,
+              std::vector<uint32_t>* survivors, QueryStats* stats);
+
+ private:
+  size_t n_ = 0;
+  size_t p_ = 0;
+  size_t stride_ = 0;
+  std::vector<double> cols_;     // p_ x stride_, pivot-major
+  std::vector<uint32_t> first_;  // per lane: first proving pivot, p_ if none
+};
 
 }  // namespace msq
 

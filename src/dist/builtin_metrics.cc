@@ -5,6 +5,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/isa_clones.h"
+
 namespace msq {
 
 double EuclideanMetric::Distance(const Vec& a, const Vec& b) const {
@@ -106,26 +108,11 @@ inline void BatchRows(const Vec& q, const VecBlock& block,
   }
 }
 
-// The hot Lp kernels are additionally compiled per ISA via target_clones:
-// the default CMake build targets baseline x86-64 (SSE2), which caps the
-// cross-row vectorization at 2 doubles per register; the AVX2/AVX-512
-// clones widen that to 4/8 and the glibc ifunc resolver picks the best one
-// at load time. Bit-exactness is preserved because this translation unit
-// is built with -ffp-contract=off (see src/CMakeLists.txt): without it the
-// AVX-512 clone would contract `acc + d * d` into an FMA, whose single
-// rounding differs from the scalar path's separate multiply and add.
-// Sanitizer builds skip the cloning: target_clones emits glibc ifuncs,
-// whose resolvers run during relocation — before the sanitizer runtime
-// has initialized its TLS — and crash TSan-instrumented binaries at
-// startup on some glibc versions. The default clone is bit-identical
-// anyway, so sanitizer jobs lose nothing but speed.
-#if defined(__x86_64__) && defined(__linux__) && defined(__GNUC__) && \
-    !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
-#define MSQ_KERNEL_ISA_CLONES \
-  __attribute__((target_clones("avx512f", "avx2", "default")))
-#else
-#define MSQ_KERNEL_ISA_CLONES
-#endif
+// The hot Lp kernels are additionally compiled per ISA (common/isa_clones.h).
+// Bit-exactness is preserved because this translation unit is built with
+// -ffp-contract=off (see src/CMakeLists.txt): without it the AVX-512 clone
+// would contract `acc + d * d` into an FMA, whose single rounding differs
+// from the scalar path's separate multiply and add.
 
 MSQ_KERNEL_ISA_CLONES
 void EuclideanBatchKernel(const Vec& q, const VecBlock& block,

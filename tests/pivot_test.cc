@@ -6,12 +6,14 @@
 // M-tree hyper-ring cuts, and persistence of the table through the
 // single-file page store.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -72,6 +74,70 @@ TEST(PivotFilterTest, InfiniteQueryDistanceChargesNothing) {
   EXPECT_FALSE(PivotCanAvoid(object_row, query_row, 1,
                              std::numeric_limits<double>::infinity(), &stats));
   EXPECT_EQ(stats.pivot_tries, 0u);
+}
+
+// The per-page mask filter is the PivotCanAvoid loop over the page's
+// objects: the same survivors in the same order and the same pivot_tries
+// and pivot_avoided, for one and several 64-pivot chunks, pages that do and
+// do not fill whole 8-object tiles, and radii that prove everything (0), a
+// mid gap, a deep gap (first proof late or never) and nothing (+inf).
+TEST(PivotFilterTest, PageBlockMatchesPivotCanAvoidLoop) {
+  EuclideanMetric metric;
+  for (size_t p : {1, 7, 16, 64, 65, 130}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    Dataset dataset = MakeUniformDataset(700, 6, 100 + p);
+    PivotTableOptions options;
+    options.num_pivots = p;
+    options.sample_size = 700;
+    auto table = PivotTable::Build(dataset, metric, options);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    ASSERT_EQ((*table)->num_pivots(), p);
+
+    Rng rng(7 * p + 1);
+    for (size_t n : {1, 13, 280}) {
+      std::vector<ObjectId> ids(n);
+      for (ObjectId& id : ids) {
+        id = static_cast<ObjectId>(rng.NextIndex(dataset.size()));
+      }
+      PivotPageBlock block;
+      block.Gather(**table, ids);
+      ASSERT_EQ(block.size(), n);
+
+      std::vector<double> query_row;
+      (*table)->QueryDists(dataset.object(static_cast<ObjectId>(
+                               rng.NextIndex(dataset.size()))),
+                           metric, nullptr, &query_row);
+      std::vector<double> gaps;
+      for (ObjectId id : ids) {
+        for (size_t k = 0; k < p; ++k) {
+          gaps.push_back(std::fabs((*table)->Row(id)[k] - query_row[k]));
+        }
+      }
+      std::sort(gaps.begin(), gaps.end());
+      for (double r : {0.0, gaps[gaps.size() / 2],
+                       gaps[gaps.size() * 99 / 100],
+                       std::numeric_limits<double>::infinity()}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " r=" + std::to_string(r));
+        QueryStats want_stats;
+        std::vector<uint32_t> want;
+        for (uint32_t o = 0; o < n; ++o) {
+          if (!PivotCanAvoid((*table)->Row(ids[o]), query_row.data(), p, r,
+                             &want_stats)) {
+            want.push_back(o);
+          }
+        }
+        QueryStats got_stats;
+        std::vector<uint32_t> got = {99};  // Filter appends.
+        block.Filter(query_row.data(), r, &got, &got_stats);
+        ASSERT_FALSE(got.empty());
+        EXPECT_EQ(got.front(), 99u);
+        got.erase(got.begin());
+        EXPECT_EQ(got, want);
+        EXPECT_EQ(got_stats.pivot_tries, want_stats.pivot_tries);
+        EXPECT_EQ(got_stats.pivot_avoided, want_stats.pivot_avoided);
+      }
+    }
+  }
 }
 
 // --- PivotTable build ----------------------------------------------------
