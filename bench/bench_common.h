@@ -130,37 +130,22 @@ struct RunResult {
   double wall_ms = 0.0;
 };
 
-/// Executes the workload's queries in consecutive blocks of m multiple
-/// similarity queries (m == 1 uses the plain single-query operation with
-/// no cross-query buffering — the paper's baseline). The database is cold-
+/// Executes the workload's queries through MetricDatabase::AnswerInBatches
+/// at batch width m (m == 1 uses the plain single-query operation with no
+/// cross-query buffering — the paper's baseline). The database is cold-
 /// started first.
 inline RunResult RunBlocks(MetricDatabase* db, const Workload& w, size_t m) {
   db->ResetAll();
+  std::vector<Query> queries;
+  queries.reserve(w.queries.size());
+  for (ObjectId id : w.queries) {
+    queries.push_back(db->MakeObjectKnnQuery(id, w.k));
+  }
   WallTimer timer;
-  if (m <= 1) {
-    for (ObjectId id : w.queries) {
-      auto got = db->SimilarityQuery(db->MakeObjectKnnQuery(id, w.k));
-      if (!got.ok()) {
-        std::fprintf(stderr, "query failed: %s\n",
-                     got.status().ToString().c_str());
-        std::exit(1);
-      }
-    }
-  } else {
-    for (size_t block = 0; block < w.queries.size(); block += m) {
-      const size_t end = std::min(w.queries.size(), block + m);
-      std::vector<Query> batch;
-      batch.reserve(end - block);
-      for (size_t i = block; i < end; ++i) {
-        batch.push_back(db->MakeObjectKnnQuery(w.queries[i], w.k));
-      }
-      auto got = db->MultipleSimilarityQueryAll(batch);
-      if (!got.ok()) {
-        std::fprintf(stderr, "multiple query failed: %s\n",
-                     got.status().ToString().c_str());
-        std::exit(1);
-      }
-    }
+  if (auto got = db->AnswerInBatches(queries, m); !got.ok()) {
+    std::fprintf(stderr, "query failed at m=%zu: %s\n", m,
+                 got.status().ToString().c_str());
+    std::exit(1);
   }
   RunResult r;
   r.wall_ms = timer.ElapsedMillis();

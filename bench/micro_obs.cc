@@ -64,8 +64,7 @@ BENCHMARK(BM_ScopedSpanDisabled);
 /// pre-instrumentation engine cost — per-page attribution timers are gated
 /// behind a non-null sink, so this row also re-verifies zero overhead with
 /// attribution code compiled in), 1 = default registry with latency
-/// attribution, 2 = registry + enabled tracer, 3 = registry with
-/// attribution off (isolates the per-page WallTimer cost).
+/// attribution, 2 = registry + enabled tracer.
 void BM_ExecuteAllSink(benchmark::State& state) {
   const int sink_mode = static_cast<int>(state.range(0));
   TychoLikeOptions gen;
@@ -75,7 +74,6 @@ void BM_ExecuteAllSink(benchmark::State& state) {
   options.backend = BackendKind::kLinearScan;
   options.multi.metrics =
       sink_mode == 0 ? nullptr : obs::MetricsSink::Default();
-  options.multi.enable_attribution = sink_mode != 3;
   auto db = MetricDatabase::Open(MakeTychoLikeDataset(gen),
                                  std::make_shared<EuclideanMetric>(), options);
   if (!db.ok()) {
@@ -103,11 +101,10 @@ void BM_ExecuteAllSink(benchmark::State& state) {
     obs::Tracer::Global()->Clear();
   }
   static const char* const kLabels[] = {"sink=null", "sink=registry attr=on",
-                                        "sink=registry+trace",
-                                        "sink=registry attr=off"};
+                                        "sink=registry+trace"};
   state.SetLabel(kLabels[sink_mode]);
 }
-BENCHMARK(BM_ExecuteAllSink)->Arg(0)->Arg(1)->Arg(2)->Arg(3)
+BENCHMARK(BM_ExecuteAllSink)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

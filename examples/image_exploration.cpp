@@ -55,9 +55,10 @@ int main(int argc, char** argv) {
   params.seed = 77;
 
   // Single-query baseline: every prefetch is issued on its own.
-  params.use_multiple = false;
+  msq::ExplorationSimParams single_params = params;
+  single_params.batch_size = 1;
   db->ResetAll();
-  auto single = msq::RunExplorationSim(db.get(), params);
+  auto single = msq::RunExplorationSim(db.get(), single_params);
   if (!single.ok()) {
     std::printf("simulation failed: %s\n",
                 single.status().ToString().c_str());
@@ -66,8 +67,8 @@ int main(int argc, char** argv) {
   const double single_ms = db->ModeledTotalMillis();
   const msq::QueryStats single_stats = db->stats();
 
-  // Multiple-query form: each round is batches of m = c*k queries.
-  params.use_multiple = true;
+  // Multiple-query form (the default batch_size): each round is batches
+  // of m = c*k queries.
   db->ResetAll();
   auto multi = msq::RunExplorationSim(db.get(), params);
   if (!multi.ok()) {
@@ -79,10 +80,9 @@ int main(int argc, char** argv) {
   std::printf("\n%zu users x %zu rounds, k=%zu -> %zu similarity queries\n",
               params.num_users, params.num_rounds, params.k,
               multi->queries_issued);
+  const bool identical = single->final_positions == multi->final_positions;
   std::printf("identical navigation in both modes: %s\n",
-              single->final_positions == multi->final_positions
-                  ? "yes"
-                  : "NO (bug!)");
+              identical ? "yes" : "NO (bug!)");
   std::printf("\nsingle queries  : %10.1f ms modeled  (%llu page reads, %llu distances)\n",
               single_ms,
               static_cast<unsigned long long>(single_stats.TotalPageReads()),
@@ -100,5 +100,5 @@ int main(int argc, char** argv) {
   std::printf("\nusers ended on images: ");
   for (msq::ObjectId id : multi->final_positions) std::printf("%u ", id);
   std::printf("\n");
-  return 0;
+  return identical ? 0 : 1;
 }

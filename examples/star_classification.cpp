@@ -58,10 +58,10 @@ int main(int argc, char** argv) {
 
   msq::KnnClassifierParams params;
   params.k = static_cast<size_t>(flags.GetInt("k"));
-  params.batch_size = static_cast<size_t>(flags.GetInt("m"));
+  const size_t m = static_cast<size_t>(flags.GetInt("m"));
 
   // Single-query baseline.
-  params.use_multiple = false;
+  params.batch_size = 1;
   db->ResetAll();
   msq::WallTimer single_timer;
   auto single = msq::ClassifyObjects(db.get(), tonight, params);
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   const double single_wall = single_timer.ElapsedMillis();
 
   // Multiple-query form.
-  params.use_multiple = true;
+  params.batch_size = m;
   db->ResetAll();
   msq::WallTimer multi_timer;
   auto multi = msq::ClassifyObjects(db.get(), tonight, params);
@@ -90,8 +90,9 @@ int main(int argc, char** argv) {
               params.k);
   std::printf("  accuracy (vs. generator class): %.1f%%\n",
               100.0 * multi->accuracy);
+  const bool identical = single->predicted == multi->predicted;
   std::printf("  predictions identical in both modes: %s\n",
-              single->predicted == multi->predicted ? "yes" : "NO (bug!)");
+              identical ? "yes" : "NO (bug!)");
   const std::string multi_header = "multi (m=" + flags.GetString("m") + ")";
   std::printf("\n%-28s %14s %14s\n", "", "single queries",
               multi_header.c_str());
@@ -101,5 +102,5 @@ int main(int argc, char** argv) {
               single_wall, multi_wall);
   std::printf("%-28s %14s %13.1fx\n", "modeled speed-up", "",
               multi_modeled > 0 ? single_modeled / multi_modeled : 0.0);
-  return 0;
+  return identical ? 0 : 1;
 }

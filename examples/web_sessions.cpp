@@ -7,6 +7,7 @@
 //   ./web_sessions [sessions=4000] [profiles=12] [k=8] [m=40]
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "msq/msq.h"
 
@@ -79,30 +80,23 @@ int main(int argc, char** argv) {
   const size_t k = static_cast<size_t>(flags.GetInt("k"));
   const size_t m = static_cast<size_t>(flags.GetInt("m"));
 
-  db->ResetAll();
+  std::vector<msq::Query> queries;
   for (msq::ObjectId id : sample) {
-    if (auto got = db->SimilarityQuery(db->MakeObjectKnnQuery(id, k));
-        !got.ok()) {
+    queries.push_back(db->MakeObjectKnnQuery(id, k));
+  }
+  // Batch width 1 is the single-query baseline; m runs blocks of m.
+  const auto modeled_ms = [&](size_t width) {
+    db->ResetAll();
+    auto got = db->AnswerInBatches(queries, width);
+    if (!got.ok()) {
       std::printf("query failed: %s\n", got.status().ToString().c_str());
-      return 1;
+      std::exit(1);
     }
-  }
-  const double single_ms = db->ModeledTotalMillis();
+    return db->ModeledTotalMillis();
+  };
+  const double single_ms = modeled_ms(1);
   const uint64_t single_dists = db->stats().TotalDistComputations();
-
-  db->ResetAll();
-  for (size_t block = 0; block < sample.size(); block += m) {
-    std::vector<msq::Query> batch;
-    for (size_t i = block; i < std::min(sample.size(), block + m); ++i) {
-      batch.push_back(db->MakeObjectKnnQuery(sample[i], k));
-    }
-    if (auto got = db->MultipleSimilarityQueryAll(batch); !got.ok()) {
-      std::printf("multiple query failed: %s\n",
-                  got.status().ToString().c_str());
-      return 1;
-    }
-  }
-  const double multi_ms = db->ModeledTotalMillis();
+  const double multi_ms = modeled_ms(m);
 
   std::printf("\n%zu session-similarity queries:\n", sample.size());
   std::printf("  single queries  : %10.1f ms modeled, %llu edit-distance computations\n",

@@ -108,12 +108,11 @@ struct QueryStats {
 
   // --- Latency attribution (wall-clock microseconds) ------------------
   // Measured elapsed-time shares of one execution, charged at stage
-  // boundaries when MultiQueryOptions::enable_attribution is on (and a
-  // metrics sink is attached — a null sink always disables them). Unlike
-  // the counters above these are wall times: additive across sequential
-  // work, but they double-count work that ran in parallel — a caller that
-  // wants them to sum to elapsed time (the load harness's attribution
-  // check) must execute sequentially per call.
+  // boundaries whenever MultiQueryOptions::metrics is non-null (a null
+  // sink disables them). Unlike the counters above these are wall times:
+  // additive across sequential work, but they double-count work that ran
+  // in parallel — a caller that wants them to sum to elapsed time (the
+  // load harness's attribution check) must execute sequentially per call.
   /// Whole ExecuteInternal (shifting-window) calls.
   double attr_window_micros = 0.0;
   /// Query-distance matrix builds (Sec. 5.2 setup).

@@ -904,6 +904,36 @@ StatusOr<std::vector<AnswerSet>> MetricDatabase::MultipleSimilarityQueryAll(
   return engine_->ExecuteAll(queries, &stats_);
 }
 
+StatusOr<std::vector<AnswerSet>> MetricDatabase::AnswerInBatches(
+    const std::vector<Query>& queries, size_t batch_size) {
+  if (batch_size == 0) {
+    return Status::InvalidArgument("batch_size must be positive");
+  }
+  std::vector<AnswerSet> answers;
+  answers.reserve(queries.size());
+  if (batch_size == 1) {
+    for (const Query& query : queries) {
+      auto got = SimilarityQuery(query);
+      if (!got.ok()) return got.status();
+      answers.push_back(std::move(got).value());
+    }
+    return answers;
+  }
+  // At least 1, so a zero max_batch_size fails in the engine instead of
+  // looping here forever.
+  const size_t width = std::max<size_t>(
+      1, std::min(batch_size, engine_->options().max_batch_size));
+  for (size_t begin = 0; begin < queries.size(); begin += width) {
+    const size_t end = std::min(queries.size(), begin + width);
+    auto got = MultipleSimilarityQueryAll(
+        std::vector<Query>(queries.begin() + static_cast<ptrdiff_t>(begin),
+                           queries.begin() + static_cast<ptrdiff_t>(end)));
+    if (!got.ok()) return got.status();
+    for (AnswerSet& a : got.value()) answers.push_back(std::move(a));
+  }
+  return answers;
+}
+
 StatusOr<BatchResult> MetricDatabase::MultipleSimilarityQueryAllPartial(
     const std::vector<Query>& queries) {
   ReadSession session;

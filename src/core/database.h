@@ -170,9 +170,22 @@ class MetricDatabase {
   StatusOr<MultiQueryResult> MultipleSimilarityQuery(
       const std::vector<Query>& queries);
 
-  /// Completes every query of the batch via incremental calls.
+  /// Completes every query of the batch via incremental calls. A batch
+  /// wider than multi.max_batch_size is ResourceExhausted.
   StatusOr<std::vector<AnswerSet>> MultipleSimilarityQueryAll(
       const std::vector<Query>& queries);
+
+  /// The one batch driver for a list of queries of any length: answers[i]
+  /// belongs to queries[i]. batch_size == 1 runs one SimilarityQuery per
+  /// query — the Fig. 1 baseline, no cross-query buffering (a 1-query
+  /// engine call could be answered from the answer buffer and charge
+  /// different counters). A larger batch_size runs consecutive blocks of
+  /// min(batch_size, multi.max_batch_size) queries through
+  /// MultipleSimilarityQueryAll, which is the Fig. 3 form of every mining
+  /// algorithm. Returns the first failing call's status; batch_size == 0
+  /// is InvalidArgument.
+  StatusOr<std::vector<AnswerSet>> AnswerInBatches(
+      const std::vector<Query>& queries, size_t batch_size);
 
   /// Fault-tolerant variant of MultipleSimilarityQueryAll: per-query
   /// statuses instead of first-error-wins, and partial answers for queries

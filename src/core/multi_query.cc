@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <span>
 
 #include "common/timer.h"
@@ -121,8 +122,7 @@ Status MultiQueryEngine::ExecuteInternal(std::span<const Query> queries,
   const size_t m = queries.size();
   // Latency attribution charges wall time at stage boundaries; gated on a
   // live sink so the null-sink path stays timer-free per page.
-  const bool attribute =
-      options_.enable_attribution && options_.metrics != nullptr;
+  const bool attribute = options_.metrics != nullptr;
   WallTimer window_timer;
   obs::ScopedSpan window_span(tracer_, "engine.window", "engine");
   window_span.AddArg("m", static_cast<double>(m));
@@ -320,14 +320,10 @@ Status MultiQueryEngine::ExecuteInternal(std::span<const Query> queries,
       page_span.AddArg("active", static_cast<double>(active.size()));
 
       PageBlock block;
-      Status read;
-      if (attribute) {
-        WallTimer io_timer;
-        read = backend_->ReadPageBlock(page, stats, &block);
-        stats->attr_page_io_micros += io_timer.ElapsedMicros();
-      } else {
-        read = backend_->ReadPageBlock(page, stats, &block);
-      }
+      std::optional<WallTimer> io_timer;
+      if (attribute) io_timer.emplace();
+      const Status read = backend_->ReadPageBlock(page, stats, &block);
+      if (io_timer) stats->attr_page_io_micros += io_timer->ElapsedMicros();
       if (!read.ok()) {
         // A failed read must not leave the page accounted: it was neither
         // processed nor proven irrelevant by a completed read, and a retry
@@ -353,20 +349,15 @@ Status MultiQueryEngine::ExecuteInternal(std::span<const Query> queries,
         if (use_pivots) aq.pivot_dists = s->pivot_dists.data();
         kernel_active.push_back(aq);
       }
-      if (attribute) {
-        WallTimer kernel_timer;
-        kernel_.ProcessPage(block, kernel_active, metric_,
-                            use_avoidance ? &qq_cache_ : nullptr,
-                            options_.avoidance_max_witnesses,
-                            use_pivots ? pivots_.get() : nullptr,
-                            options_.use_batched_kernel, stats);
-        stats->attr_kernel_micros += kernel_timer.ElapsedMicros();
-      } else {
-        kernel_.ProcessPage(block, kernel_active, metric_,
-                            use_avoidance ? &qq_cache_ : nullptr,
-                            options_.avoidance_max_witnesses,
-                            use_pivots ? pivots_.get() : nullptr,
-                            options_.use_batched_kernel, stats);
+      std::optional<WallTimer> kernel_timer;
+      if (attribute) kernel_timer.emplace();
+      kernel_.ProcessPage(block, kernel_active, metric_,
+                          use_avoidance ? &qq_cache_ : nullptr,
+                          options_.avoidance_max_witnesses,
+                          use_pivots ? pivots_.get() : nullptr,
+                          options_.use_batched_kernel, stats);
+      if (kernel_timer) {
+        stats->attr_kernel_micros += kernel_timer->ElapsedMicros();
       }
       // Cold batches derive nothing before the first page saturates the
       // kNN lists; retry until every adaptive query has its bound.

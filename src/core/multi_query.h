@@ -54,17 +54,14 @@ struct MultiQueryOptions {
   /// computes identical answers and identical `dist_computations` /
   /// `triangle_avoided` counts (the batched mode's test oracle).
   bool use_batched_kernel = true;
-  /// Charge wall-clock stage timings (matrix build, page reads, kernel,
-  /// whole window) to QueryStats::attr_* so the serving layer can decompose
-  /// end-to-end latency. Only active when a metrics sink is attached — a
-  /// null sink always disables attribution, which keeps the verified
-  /// zero-overhead property of the null-sink path (per-page clock reads are
-  /// the only cost attribution adds).
-  bool enable_attribution = true;
   /// Observability sink. Default: the process-global registry + tracer.
   /// nullptr disables all engine instrumentation (zero-overhead no-op);
   /// every completed call publishes its QueryStats delta here, so the
   /// registry is the one export pipeline for the paper's cost counters.
+  /// With a sink attached the engine also charges wall-clock stage timings
+  /// (matrix build, page reads, kernel, whole window) to QueryStats::attr_*
+  /// so the serving layer can decompose end-to-end latency; per-page clock
+  /// reads are the only cost this adds, and a null sink reads no clock.
   const obs::MetricsSink* metrics = obs::MetricsSink::Default();
 };
 

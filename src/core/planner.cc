@@ -51,28 +51,24 @@ Status QueryPlanner::Calibrate(const PlannerOptions& options) {
     MetricDatabase* db = databases_[b].get();
     const size_t dim = db->dataset().dim();
 
-    // Single-query profile.
-    db->ResetAll();
+    std::vector<Query> probe_queries;
     for (ObjectId id : probe_ids) {
-      auto got = db->SimilarityQuery(
-          db->MakeObjectKnnQuery(id, options.probe_k));
+      probe_queries.push_back(db->MakeObjectKnnQuery(id, options.probe_k));
+    }
+    // Modeled cost per probe at batch width `width`, from a cold start.
+    auto profile = [&](size_t width, double* ms_per_query) -> Status {
+      db->ResetAll();
+      auto got = db->AnswerInBatches(probe_queries, width);
       if (!got.ok()) return got.status();
-    }
-    profiles_[b].single_query_ms =
-        db->stats().TotalMillis(db->cost_model(), dim) /
-        static_cast<double>(probe_ids.size());
-
-    // Batched profile: one multiple query over the probes.
-    db->ResetAll();
-    std::vector<Query> batch;
-    for (ObjectId id : probe_ids) {
-      batch.push_back(db->MakeObjectKnnQuery(id, options.probe_k));
-    }
-    auto all = db->MultipleSimilarityQueryAll(batch);
-    if (!all.ok()) return all.status();
-    profiles_[b].batched_query_ms =
-        db->stats().TotalMillis(db->cost_model(), dim) /
-        static_cast<double>(probe_ids.size());
+      *ms_per_query = db->stats().TotalMillis(db->cost_model(), dim) /
+                      static_cast<double>(probe_queries.size());
+      return Status::OK();
+    };
+    // Single-query profile, then one multiple query over all probes (width
+    // at least 2, so even a lone probe takes the engine path here).
+    MSQ_RETURN_IF_ERROR(profile(1, &profiles_[b].single_query_ms));
+    MSQ_RETURN_IF_ERROR(profile(std::max<size_t>(probe_queries.size(), 2),
+                                &profiles_[b].batched_query_ms));
     db->ResetAll();
   }
   return Status::OK();
@@ -104,24 +100,9 @@ StatusOr<std::vector<AnswerSet>> QueryPlanner::ExecuteBatch(
   if (db == nullptr) {
     return Status::Internal("chosen backend disappeared");
   }
-  if (queries.size() == 1) {
-    auto got = db->SimilarityQuery(queries.front());
-    if (!got.ok()) return got.status();
-    return std::vector<AnswerSet>{std::move(got).value()};
-  }
-  // Respect the engine's batch limit by routing in blocks.
-  const size_t cap = db->engine().options().max_batch_size;
-  std::vector<AnswerSet> all;
-  all.reserve(queries.size());
-  for (size_t block = 0; block < queries.size(); block += cap) {
-    const size_t end = std::min(queries.size(), block + cap);
-    std::vector<Query> chunk(queries.begin() + static_cast<ptrdiff_t>(block),
-                             queries.begin() + static_cast<ptrdiff_t>(end));
-    auto got = db->MultipleSimilarityQueryAll(chunk);
-    if (!got.ok()) return got.status();
-    for (auto& a : got.value()) all.push_back(std::move(a));
-  }
-  return all;
+  // The whole batch at once (in engine-sized blocks); a lone query takes
+  // the single-query path the profile predicted for it.
+  return db->AnswerInBatches(queries, queries.size());
 }
 
 MetricDatabase* QueryPlanner::database(BackendKind kind) {

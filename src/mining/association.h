@@ -23,9 +23,9 @@ struct AssociationParams {
   double min_confidence = 0.5;
   /// Minimum fraction of all database objects that must support the rule.
   double min_support = 0.01;
-  /// Block width of the multiple similarity queries.
+  /// Batch width m of the multiple similarity queries, through
+  /// MetricDatabase::AnswerInBatches; 1 issues single similarity queries.
   size_t batch_size = 32;
-  bool use_multiple = true;
 };
 
 struct AssociationRule {

@@ -27,7 +27,6 @@ StatusOr<DbscanResult> RunDbscan(MetricDatabase* db,
   ExploreOptions options;
   options.query_type = QueryType::Range(params.eps);
   options.batch_size = params.batch_size;
-  options.use_multiple = params.use_multiple;
 
   ExploreCallbacks callbacks;
   // All cluster logic lives in the filter: it sees the object's complete

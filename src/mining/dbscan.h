@@ -21,10 +21,9 @@ struct DbscanParams {
   /// Density threshold: a core object has at least min_pts objects
   /// (including itself) within eps.
   size_t min_pts = 5;
-  /// Batch width of the multiple similarity queries.
+  /// Window width m of the multiple similarity queries (Figure 3); 1
+  /// issues single similarity queries (the Figure-2 baseline).
   size_t batch_size = 32;
-  /// false issues single similarity queries (the Figure-2 baseline).
-  bool use_multiple = true;
 };
 
 /// Cluster id of unassigned/noise objects.

@@ -1,6 +1,5 @@
 #include "mining/exploration_sim.h"
 
-#include <algorithm>
 #include <unordered_map>
 
 #include "common/rng.h"
@@ -9,57 +8,34 @@ namespace msq {
 
 namespace {
 
-struct RoundOutcome {
-  /// Answers per query object of the round.
-  std::vector<AnswerSet> answers;
-};
-
+// Answers per entry of `query_objects` (one kNN query each).
 Status RunRound(MetricDatabase* db, const std::vector<ObjectId>& query_objects,
-                size_t k, bool use_multiple, RoundOutcome* out) {
-  out->answers.clear();
+                size_t k, size_t batch_size, std::vector<AnswerSet>* out) {
   // Different users may hold the same answer object; a multiple-query
   // batch must not contain duplicate query ids, so query each distinct
   // object once and fan the answers back out.
-  std::vector<ObjectId> unique_ids;
+  std::vector<Query> queries;
   std::unordered_map<ObjectId, size_t> index_of;
   for (ObjectId id : query_objects) {
-    if (index_of.emplace(id, unique_ids.size()).second) {
-      unique_ids.push_back(id);
+    if (index_of.emplace(id, queries.size()).second) {
+      queries.push_back(db->MakeObjectKnnQuery(id, k));
     }
   }
-  std::vector<AnswerSet> unique_answers;
-  unique_answers.reserve(unique_ids.size());
-  if (use_multiple) {
-    const size_t cap = db->engine().options().max_batch_size;
-    for (size_t block = 0; block < unique_ids.size(); block += cap) {
-      const size_t end = std::min(unique_ids.size(), block + cap);
-      std::vector<Query> queries;
-      queries.reserve(end - block);
-      for (size_t i = block; i < end; ++i) {
-        queries.push_back(db->MakeObjectKnnQuery(unique_ids[i], k));
-      }
-      auto got = db->MultipleSimilarityQueryAll(queries);
-      if (!got.ok()) return got.status();
-      for (auto& a : got.value()) unique_answers.push_back(std::move(a));
-    }
-  } else {
-    for (ObjectId id : unique_ids) {
-      auto got = db->SimilarityQuery(db->MakeObjectKnnQuery(id, k));
-      if (!got.ok()) return got.status();
-      unique_answers.push_back(std::move(got).value());
-    }
-  }
-  out->answers.reserve(query_objects.size());
+  auto unique_answers = db->AnswerInBatches(queries, batch_size);
+  if (!unique_answers.ok()) return unique_answers.status();
+  out->clear();
+  out->reserve(query_objects.size());
   for (ObjectId id : query_objects) {
-    out->answers.push_back(unique_answers[index_of[id]]);
+    out->push_back((*unique_answers)[index_of[id]]);
   }
   return Status::OK();
 }
 
-}  // namespace
-
-StatusOr<ExplorationSimResult> RunExplorationSim(
-    MetricDatabase* db, const ExplorationSimParams& params) {
+// The workload itself; appends every issued query object to `stream` when
+// it is non-null.
+StatusOr<ExplorationSimResult> Simulate(MetricDatabase* db,
+                                        const ExplorationSimParams& params,
+                                        std::vector<ObjectId>* stream) {
   if (db == nullptr) return Status::InvalidArgument("db is null");
   if (params.num_users == 0 || params.k == 0) {
     return Status::InvalidArgument("num_users and k must be positive");
@@ -77,15 +53,19 @@ StatusOr<ExplorationSimResult> RunExplorationSim(
   std::vector<std::vector<ObjectId>> user_answers(params.num_users);
 
   for (size_t round = 0; round <= params.num_rounds; ++round) {
-    RoundOutcome outcome;
-    MSQ_RETURN_IF_ERROR(RunRound(db, round_queries, params.k,
-                                 params.use_multiple, &outcome));
+    std::vector<AnswerSet> answers;
+    MSQ_RETURN_IF_ERROR(
+        RunRound(db, round_queries, params.k, params.batch_size, &answers));
     result.queries_issued += round_queries.size();
+    if (stream != nullptr) {
+      stream->insert(stream->end(), round_queries.begin(),
+                     round_queries.end());
+    }
 
     if (round == 0) {
       for (size_t u = 0; u < params.num_users; ++u) {
         user_answers[u].clear();
-        for (const Neighbor& nb : outcome.answers[u]) {
+        for (const Neighbor& nb : answers[u]) {
           user_answers[u].push_back(nb.id);
         }
       }
@@ -95,14 +75,11 @@ StatusOr<ExplorationSimResult> RunExplorationSim(
       size_t offset = 0;
       for (size_t u = 0; u < params.num_users; ++u) {
         const size_t count = user_answers[u].size();
-        if (count == 0) {
-          offset += count;
-          continue;
-        }
+        if (count == 0) continue;
         const size_t pick = rng.NextIndex(count);
         positions[u] = user_answers[u][pick];
         user_answers[u].clear();
-        for (const Neighbor& nb : outcome.answers[offset + pick]) {
+        for (const Neighbor& nb : answers[offset + pick]) {
           user_answers[u].push_back(nb.id);
         }
         offset += count;
@@ -120,57 +97,21 @@ StatusOr<ExplorationSimResult> RunExplorationSim(
   return result;
 }
 
+}  // namespace
+
+StatusOr<ExplorationSimResult> RunExplorationSim(
+    MetricDatabase* db, const ExplorationSimParams& params) {
+  return Simulate(db, params, /*stream=*/nullptr);
+}
+
 StatusOr<std::vector<ObjectId>> GenerateExplorationQueryStream(
     MetricDatabase* db, const ExplorationSimParams& params) {
   // Run the simulation on the database once (unmetered relative to the
   // caller: callers snapshot stats around the calls they care about) and
   // record every query object in issue order.
-  ExplorationSimParams p = params;
-  p.use_multiple = true;
-
-  if (db == nullptr) return Status::InvalidArgument("db is null");
-  const size_t n = db->dataset().size();
-  Rng rng(p.seed);
   std::vector<ObjectId> stream;
-
-  std::vector<ObjectId> positions(p.num_users);
-  for (auto& pos : positions) pos = static_cast<ObjectId>(rng.NextIndex(n));
-  std::vector<ObjectId> round_queries = positions;
-  std::vector<std::vector<ObjectId>> user_answers(p.num_users);
-
-  for (size_t round = 0; round <= p.num_rounds; ++round) {
-    RoundOutcome outcome;
-    MSQ_RETURN_IF_ERROR(
-        RunRound(db, round_queries, p.k, /*use_multiple=*/true, &outcome));
-    stream.insert(stream.end(), round_queries.begin(), round_queries.end());
-    if (round == 0) {
-      for (size_t u = 0; u < p.num_users; ++u) {
-        user_answers[u].clear();
-        for (const Neighbor& nb : outcome.answers[u]) {
-          user_answers[u].push_back(nb.id);
-        }
-      }
-    } else {
-      size_t offset = 0;
-      for (size_t u = 0; u < p.num_users; ++u) {
-        const size_t count = user_answers[u].size();
-        if (count == 0) continue;
-        const size_t pick = rng.NextIndex(count);
-        positions[u] = user_answers[u][pick];
-        user_answers[u].clear();
-        for (const Neighbor& nb : outcome.answers[offset + pick]) {
-          user_answers[u].push_back(nb.id);
-        }
-        offset += count;
-      }
-    }
-    if (round == p.num_rounds) break;
-    round_queries.clear();
-    for (const auto& ua : user_answers) {
-      round_queries.insert(round_queries.end(), ua.begin(), ua.end());
-    }
-    if (round_queries.empty()) break;
-  }
+  auto simulated = Simulate(db, params, &stream);
+  if (!simulated.ok()) return simulated.status();
   return stream;
 }
 

@@ -8,6 +8,7 @@
 #define MSQ_MINING_EXPLORATION_SIM_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/status.h"
@@ -22,8 +23,10 @@ struct ExplorationSimParams {
   size_t k = 20;
   /// Navigation rounds after the initial queries.
   size_t num_rounds = 3;
-  /// false issues single similarity queries.
-  bool use_multiple = true;
+  /// Batch width of each round's queries (MetricDatabase::AnswerInBatches):
+  /// 1 issues single similarity queries; the default runs each round in
+  /// blocks as wide as the engine allows (multi.max_batch_size).
+  size_t batch_size = std::numeric_limits<size_t>::max();
   uint64_t seed = 2024;
 };
 
@@ -35,14 +38,15 @@ struct ExplorationSimResult {
 };
 
 /// Runs the exploration workload. Every round's query set is completed
-/// (in batches when use_multiple), so single and multiple mode visit the
-/// same objects given the same seed — only the cost differs.
+/// (in batches when batch_size > 1), so every batch size visits the same
+/// objects given the same seed — only the cost differs.
 StatusOr<ExplorationSimResult> RunExplorationSim(
     MetricDatabase* db, const ExplorationSimParams& params);
 
-/// Builds just the query-object sequence the workload would issue, without
-/// executing it (used by the benches to generate the paper's dependent
-/// query stream once and replay it under different engines).
+/// Builds just the query-object sequence the workload would issue (used by
+/// the benches to generate the paper's dependent query stream once and
+/// replay it under different engines). It runs the workload on `db` to
+/// find that sequence, which does not depend on params.batch_size.
 StatusOr<std::vector<ObjectId>> GenerateExplorationQueryStream(
     MetricDatabase* db, const ExplorationSimParams& params);
 

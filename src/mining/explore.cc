@@ -39,7 +39,12 @@ StatusOr<size_t> ExploreNeighborhoods(
     if (callbacks.proc1) callbacks.proc1(object);
 
     AnswerSet answers;
-    if (options.use_multiple) {
+    if (options.batch_size == 1) {
+      auto result =
+          db->SimilarityQuery(MakeObjectQuery(*db, object, options.query_type));
+      if (!result.ok()) return result.status();
+      answers = std::move(result).value();
+    } else {
       // choose_multiple(): the window of the next m control-list objects;
       // one multiple similarity query answers the first completely and
       // prefetches the rest.
@@ -52,11 +57,6 @@ StatusOr<size_t> ExploreNeighborhoods(
       auto result = db->MultipleSimilarityQuery(window);
       if (!result.ok()) return result.status();
       answers = std::move(result.value().answers.front());
-    } else {
-      auto result =
-          db->SimilarityQuery(MakeObjectQuery(*db, object, options.query_type));
-      if (!result.ok()) return result.status();
-      answers = std::move(result).value();
     }
 
     if (callbacks.proc2) callbacks.proc2(object, answers);

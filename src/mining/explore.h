@@ -2,12 +2,12 @@
 //   ExploreNeighborhoods          (Figure 2) — single similarity queries
 //   ExploreNeighborhoodsMultiple  (Figure 3) — multiple similarity queries
 //
-// Both engines run the same task-specific callbacks (proc_1, proc_2,
+// Both forms run the same task-specific callbacks (proc_1, proc_2,
 // filter, condition_check); the multiple form differs *only* in selecting a
-// window of control-list objects and issuing one multiple similarity query
-// for it — the purely syntactic transformation the paper describes. The
-// two forms therefore produce identical results, which the tests assert
-// for every mining instance.
+// window of m control-list objects and issuing one multiple similarity
+// query for it — the purely syntactic transformation the paper describes,
+// with m = 1 as the single form. The two forms therefore produce identical
+// results, which the tests assert for every mining instance.
 
 #ifndef MSQ_MINING_EXPLORE_H_
 #define MSQ_MINING_EXPLORE_H_
@@ -41,10 +41,10 @@ struct ExploreCallbacks {
 struct ExploreOptions {
   /// SimType: the similarity-query type used for every neighborhood.
   QueryType query_type = QueryType::Knn(10);
-  /// Window width m of choose_multiple() in the multiple form.
+  /// Window width m of choose_multiple() in the multiple form of Figure 3
+  /// (capped at multi.max_batch_size). 1 runs the original single-query
+  /// scheme of Figure 2: one SimilarityQuery per object, no buffering.
   size_t batch_size = 32;
-  /// false runs the original single-query scheme of Figure 2.
-  bool use_multiple = true;
 };
 
 /// Runs the scheme starting from `start_objects`. Returns the number of

@@ -18,10 +18,9 @@ namespace msq {
 struct KnnClassifierParams {
   /// Number of voting neighbors (the query object itself is excluded).
   size_t k = 10;
-  /// Block width m of the multiple similarity queries.
+  /// Batch width m of the multiple similarity queries, through
+  /// MetricDatabase::AnswerInBatches; 1 issues single similarity queries.
   size_t batch_size = 32;
-  /// false issues single similarity queries.
-  bool use_multiple = true;
 };
 
 struct ClassificationResult {

@@ -6,47 +6,28 @@ namespace msq {
 
 namespace {
 
-// kNN answers (self excluded) for every database object, in blocks.
-Status AllKnn(MetricDatabase* db, size_t k, size_t batch_size,
-              bool use_multiple, std::vector<AnswerSet>* out) {
+// kNN answers (self excluded) for every database object.
+StatusOr<std::vector<AnswerSet>> AllKnn(MetricDatabase* db,
+                                        const KnnGraphParams& params) {
+  if (db == nullptr) return Status::InvalidArgument("db is null");
+  if (params.k == 0) return Status::InvalidArgument("k must be positive");
   const size_t n = db->dataset().size();
-  const size_t effective_batch =
-      std::min(batch_size, db->engine().options().max_batch_size);
-  out->clear();
-  out->reserve(n);
-  for (size_t block = 0; block < n; block += effective_batch) {
-    const size_t end = std::min(n, block + effective_batch);
-    std::vector<AnswerSet> answers;
-    if (use_multiple) {
-      std::vector<Query> batch;
-      batch.reserve(end - block);
-      for (size_t i = block; i < end; ++i) {
-        // k+1 so that dropping the object itself leaves k neighbors.
-        batch.push_back(
-            db->MakeObjectKnnQuery(static_cast<ObjectId>(i), k + 1));
-      }
-      auto got = db->MultipleSimilarityQueryAll(batch);
-      if (!got.ok()) return got.status();
-      answers = std::move(got).value();
-    } else {
-      for (size_t i = block; i < end; ++i) {
-        auto got = db->SimilarityQuery(
-            db->MakeObjectKnnQuery(static_cast<ObjectId>(i), k + 1));
-        if (!got.ok()) return got.status();
-        answers.push_back(std::move(got).value());
-      }
-    }
-    for (size_t i = block; i < end; ++i) {
-      const ObjectId self = static_cast<ObjectId>(i);
-      AnswerSet filtered;
-      filtered.reserve(k);
-      for (const Neighbor& nb : answers[i - block]) {
-        if (nb.id != self && filtered.size() < k) filtered.push_back(nb);
-      }
-      out->push_back(std::move(filtered));
-    }
+  std::vector<Query> queries;
+  queries.reserve(n);
+  for (ObjectId id = 0; id < n; ++id) {
+    // k+1 so that dropping the object itself leaves k neighbors.
+    queries.push_back(db->MakeObjectKnnQuery(id, params.k + 1));
   }
-  return Status::OK();
+  auto answers = db->AnswerInBatches(queries, params.batch_size);
+  if (!answers.ok()) return answers.status();
+  for (ObjectId self = 0; self < n; ++self) {
+    AnswerSet& a = (*answers)[self];
+    a.erase(std::remove_if(a.begin(), a.end(),
+                           [self](const Neighbor& nb) { return nb.id == self; }),
+            a.end());
+    if (a.size() > params.k) a.resize(params.k);
+  }
+  return answers;
 }
 
 }  // namespace
@@ -72,28 +53,20 @@ double KnnGraph::MutualEdgeFraction() const {
 
 StatusOr<KnnGraph> BuildKnnGraph(MetricDatabase* db,
                                  const KnnGraphParams& params) {
-  if (db == nullptr) return Status::InvalidArgument("db is null");
-  if (params.k == 0 || params.batch_size == 0) {
-    return Status::InvalidArgument("k and batch_size must be positive");
-  }
+  auto neighbors = AllKnn(db, params);
+  if (!neighbors.ok()) return neighbors.status();
   KnnGraph graph;
-  MSQ_RETURN_IF_ERROR(AllKnn(db, params.k, params.batch_size,
-                             params.use_multiple, &graph.neighbors));
+  graph.neighbors = std::move(neighbors).value();
   return graph;
 }
 
 StatusOr<std::vector<double>> KDistanceList(MetricDatabase* db,
                                             const KnnGraphParams& params) {
-  if (db == nullptr) return Status::InvalidArgument("db is null");
-  if (params.k == 0 || params.batch_size == 0) {
-    return Status::InvalidArgument("k and batch_size must be positive");
-  }
-  std::vector<AnswerSet> neighbors;
-  MSQ_RETURN_IF_ERROR(AllKnn(db, params.k, params.batch_size,
-                             params.use_multiple, &neighbors));
+  auto neighbors = AllKnn(db, params);
+  if (!neighbors.ok()) return neighbors.status();
   std::vector<double> k_dist;
-  k_dist.reserve(neighbors.size());
-  for (const AnswerSet& a : neighbors) {
+  k_dist.reserve(neighbors->size());
+  for (const AnswerSet& a : *neighbors) {
     k_dist.push_back(a.empty() ? 0.0 : a.back().distance);
   }
   std::sort(k_dist.begin(), k_dist.end(), std::greater<double>());

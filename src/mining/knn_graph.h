@@ -20,9 +20,9 @@ namespace msq {
 struct KnnGraphParams {
   /// Neighbors per object (the object itself is excluded).
   size_t k = 10;
-  /// Batch width of the multiple similarity queries.
+  /// Batch width m of the multiple similarity queries, through
+  /// MetricDatabase::AnswerInBatches; 1 issues single similarity queries.
   size_t batch_size = 64;
-  bool use_multiple = true;
 };
 
 struct KnnGraph {

@@ -79,7 +79,7 @@ StatusOr<OpticsResult> RunOptics(MetricDatabase* db,
   // pattern with a priority-ordered choose_multiple()).
   auto neighborhood = [&](ObjectId id, ObjectId next_unprocessed)
       -> StatusOr<AnswerSet> {
-    if (!params.use_multiple) {
+    if (params.batch_size == 1) {
       return db->SimilarityQuery(db->MakeObjectRangeQuery(id, params.eps));
     }
     std::vector<Query> batch;

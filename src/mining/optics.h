@@ -25,10 +25,9 @@ struct OpticsParams {
   double eps = 0.2;
   /// Density threshold, including the object itself.
   size_t min_pts = 5;
-  /// Batch width of the multiple similarity queries used for the
-  /// neighborhood lookups.
+  /// Window width m of the multiple similarity queries used for the
+  /// neighborhood lookups; 1 issues single similarity queries.
   size_t batch_size = 32;
-  bool use_multiple = true;
 };
 
 /// Sentinel reachability for objects never reached within eps.

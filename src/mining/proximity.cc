@@ -18,39 +18,24 @@ StatusOr<ProximityResult> AnalyzeProximity(
     return Status::InvalidArgument("top_k and per_member_k must be positive");
   }
   std::unordered_set<ObjectId> members(cluster.begin(), cluster.end());
-  const size_t effective_batch =
-      std::min(params.batch_size, db->engine().options().max_batch_size);
 
   // One kNN query per cluster member; fetch per_member_k + |cluster| so
   // that non-member neighbors survive even when the whole cluster is
   // closer. dist-to-cluster(o) = min over members of dist(o, member).
-  std::unordered_map<ObjectId, double> dist_to_cluster;
   const size_t fetch_k = params.per_member_k + cluster.size();
-  for (size_t block = 0; block < cluster.size(); block += effective_batch) {
-    const size_t end = std::min(cluster.size(), block + effective_batch);
-    std::vector<AnswerSet> answers;
-    if (params.use_multiple) {
-      std::vector<Query> queries;
-      for (size_t i = block; i < end; ++i) {
-        queries.push_back(db->MakeObjectKnnQuery(cluster[i], fetch_k));
-      }
-      auto got = db->MultipleSimilarityQueryAll(queries);
-      if (!got.ok()) return got.status();
-      answers = std::move(got).value();
-    } else {
-      for (size_t i = block; i < end; ++i) {
-        auto got =
-            db->SimilarityQuery(db->MakeObjectKnnQuery(cluster[i], fetch_k));
-        if (!got.ok()) return got.status();
-        answers.push_back(std::move(got).value());
-      }
-    }
-    for (const AnswerSet& a : answers) {
-      for (const Neighbor& nb : a) {
-        if (members.count(nb.id)) continue;
-        auto [it, inserted] = dist_to_cluster.emplace(nb.id, nb.distance);
-        if (!inserted && nb.distance < it->second) it->second = nb.distance;
-      }
+  std::vector<Query> queries;
+  queries.reserve(cluster.size());
+  for (ObjectId id : cluster) {
+    queries.push_back(db->MakeObjectKnnQuery(id, fetch_k));
+  }
+  auto answers = db->AnswerInBatches(queries, params.batch_size);
+  if (!answers.ok()) return answers.status();
+  std::unordered_map<ObjectId, double> dist_to_cluster;
+  for (const AnswerSet& a : *answers) {
+    for (const Neighbor& nb : a) {
+      if (members.count(nb.id)) continue;
+      auto [it, inserted] = dist_to_cluster.emplace(nb.id, nb.distance);
+      if (!inserted && nb.distance < it->second) it->second = nb.distance;
     }
   }
 

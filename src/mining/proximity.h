@@ -20,9 +20,9 @@ struct ProximityParams {
   /// Neighbors fetched per cluster member (enough to see past the other
   /// cluster members).
   size_t per_member_k = 10;
-  /// Block width of the multiple similarity queries.
+  /// Batch width m of the multiple similarity queries, through
+  /// MetricDatabase::AnswerInBatches; 1 issues single similarity queries.
   size_t batch_size = 32;
-  bool use_multiple = true;
 };
 
 struct ProximityResult {

@@ -18,9 +18,9 @@ namespace msq {
 struct SimilarityJoinParams {
   /// Join radius.
   double eps = 0.1;
-  /// Batch width of the multiple similarity queries.
+  /// Batch width m of the multiple similarity queries, through
+  /// MetricDatabase::AnswerInBatches; 1 issues single similarity queries.
   size_t batch_size = 64;
-  bool use_multiple = true;
 };
 
 /// One join result pair, normalized to first < second.

@@ -12,40 +12,25 @@ namespace msq {
 
 namespace {
 
-// Answers for a set of (deduplicated) object kNN queries.
+// Answers for the not-yet-cached objects among `objects`, each queried
+// once.
 Status QueryBatch(MetricDatabase* db, const std::vector<ObjectId>& objects,
-                  size_t k, bool use_multiple, size_t batch_size,
+                  size_t k, size_t batch_size,
                   std::unordered_map<ObjectId, AnswerSet>* out) {
   std::vector<ObjectId> unique_ids;
+  std::vector<Query> queries;
   for (ObjectId id : objects) {
     if (!out->count(id) &&
         std::find(unique_ids.begin(), unique_ids.end(), id) ==
             unique_ids.end()) {
       unique_ids.push_back(id);
+      queries.push_back(db->MakeObjectKnnQuery(id, k));
     }
   }
-  const size_t cap =
-      std::min(batch_size, db->engine().options().max_batch_size);
-  for (size_t block = 0; block < unique_ids.size(); block += cap) {
-    const size_t end = std::min(unique_ids.size(), block + cap);
-    if (use_multiple) {
-      std::vector<Query> queries;
-      for (size_t i = block; i < end; ++i) {
-        queries.push_back(db->MakeObjectKnnQuery(unique_ids[i], k));
-      }
-      auto got = db->MultipleSimilarityQueryAll(queries);
-      if (!got.ok()) return got.status();
-      for (size_t i = block; i < end; ++i) {
-        (*out)[unique_ids[i]] = std::move(got.value()[i - block]);
-      }
-    } else {
-      for (size_t i = block; i < end; ++i) {
-        auto got =
-            db->SimilarityQuery(db->MakeObjectKnnQuery(unique_ids[i], k));
-        if (!got.ok()) return got.status();
-        (*out)[unique_ids[i]] = std::move(got).value();
-      }
-    }
+  auto answers = db->AnswerInBatches(queries, batch_size);
+  if (!answers.ok()) return answers.status();
+  for (size_t i = 0; i < unique_ids.size(); ++i) {
+    (*out)[unique_ids[i]] = std::move((*answers)[i]);
   }
   return Status::OK();
 }
@@ -88,8 +73,7 @@ StatusOr<TrendResult> DetectTrend(MetricDatabase* db, ObjectId start,
       if (path.size() == step + 1) frontier.push_back(path.back());
     }
     if (frontier.empty()) break;
-    MSQ_RETURN_IF_ERROR(QueryBatch(db, frontier, params.k,
-                                   params.use_multiple, params.batch_size,
+    MSQ_RETURN_IF_ERROR(QueryBatch(db, frontier, params.k, params.batch_size,
                                    &answer_cache));
     for (auto& path : paths) {
       if (path.size() != step + 1) continue;

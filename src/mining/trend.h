@@ -25,9 +25,9 @@ struct TrendParams {
   size_t k = 8;
   /// Index of the attribute (vector component) to regress.
   size_t attribute_dim = 0;
-  /// Block width of the multiple similarity queries.
+  /// Batch width m of the multiple similarity queries, through
+  /// MetricDatabase::AnswerInBatches; 1 issues single similarity queries.
   size_t batch_size = 32;
-  bool use_multiple = true;
   uint64_t seed = 5;
 };
 

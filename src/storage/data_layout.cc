@@ -17,6 +17,104 @@ constexpr uint32_t kPageTag = 0x45474150;     // "PAGE"
 constexpr uint32_t kPageDirTag = 0x52494450;  // "PDIR"
 constexpr uint32_t kPageDirVersion = 1;
 
+/// The stored "pages" directory: per page its object count and extent.
+struct PageDirectory {
+  uint32_t dim = 0;
+  uint64_t total_objects = 0;
+  std::vector<uint32_t> counts;
+  std::vector<PageFileExtent> extents;  // parallel to counts
+};
+
+/// Reads and validates the "pages" directory of `store`. Entries are
+/// appended as they are read, so a lying page count stops at the end of
+/// the object instead of sizing an allocation.
+Status ReadPageDirectory(const PageFile& store, PageDirectory* out) {
+  std::string dir_bytes;
+  MSQ_RETURN_IF_ERROR(store.GetObject("pages", &dir_bytes));
+  std::istringstream dir(dir_bytes);
+  MSQ_RETURN_IF_ERROR(ExpectTag(dir, kPageDirTag, "page directory"));
+  uint32_t version = 0;
+  uint64_t num_pages = 0;
+  MSQ_RETURN_IF_ERROR(ReadU32(dir, &version));
+  if (version != kPageDirVersion) {
+    return Status::NotSupported("unsupported page directory version");
+  }
+  MSQ_RETURN_IF_ERROR(ReadU32(dir, &out->dim));
+  MSQ_RETURN_IF_ERROR(ReadU64(dir, &num_pages));
+  MSQ_RETURN_IF_ERROR(ReadU64(dir, &out->total_objects));
+  // Pages are non-empty, and object ids are dense u32s; anything else is a
+  // lying directory (the CRC passed, but the content is still validated).
+  if (out->dim == 0 || out->total_objects == 0 || num_pages == 0 ||
+      num_pages > out->total_objects || out->total_objects >= kInvalidPageId) {
+    return Status::Corruption("page directory counts out of bounds");
+  }
+  out->counts.clear();
+  out->extents.clear();
+  for (uint64_t p = 0; p < num_pages; ++p) {
+    uint32_t count = 0;
+    PageFileExtent extent;
+    MSQ_RETURN_IF_ERROR(ReadU32(dir, &count));
+    MSQ_RETURN_IF_ERROR(ReadU64(dir, &extent.first_block));
+    MSQ_RETURN_IF_ERROR(ReadU32(dir, &extent.num_blocks));
+    MSQ_RETURN_IF_ERROR(ReadU32(dir, &extent.byte_length));
+    MSQ_RETURN_IF_ERROR(ReadU32(dir, &extent.crc));
+    if (count == 0) return Status::Corruption("empty stored page");
+    out->counts.push_back(count);
+    out->extents.push_back(extent);
+  }
+  if (dir.peek() != std::istringstream::traits_type::eof()) {
+    return Status::Corruption("trailing bytes after page directory");
+  }
+  return Status::OK();
+}
+
+/// Unaligned views into one PAGE payload (copy out with memcpy).
+struct PagePayload {
+  const char* ids = nullptr;   // `count` ObjectIds
+  const char* rows = nullptr;  // `count * dim` Scalars, row-major
+};
+
+/// Decodes the PAGE payload `bytes` of page `page`: checks the tag, page id
+/// and dimensionality, that it holds exactly `count` ids and `count * dim`
+/// scalars, and that nothing trails them. Reads the payload in place.
+Status DecodePagePayload(const std::string& bytes, uint64_t page, size_t dim,
+                         size_t count, PagePayload* out) {
+  const char* cur = bytes.data();
+  size_t left = bytes.size();
+  const auto read_u32 = [&cur, &left](uint32_t* v) {
+    if (left < sizeof(*v)) return false;
+    std::memcpy(v, cur, sizeof(*v));
+    cur += sizeof(*v);
+    left -= sizeof(*v);
+    return true;
+  };
+  uint32_t tag = 0, stored_page = 0, stored_dim = 0, id_count = 0;
+  if (!read_u32(&tag) || tag != kPageTag) {
+    return Status::Corruption("bad page payload tag");
+  }
+  if (!read_u32(&stored_page) || stored_page != page) {
+    return Status::Corruption("page payload id mismatch");
+  }
+  if (!read_u32(&stored_dim) || stored_dim != dim) {
+    return Status::Corruption("page payload dimensionality mismatch");
+  }
+  const size_t id_bytes = count * sizeof(ObjectId);
+  if (!read_u32(&id_count) || id_count != count || left < id_bytes) {
+    return Status::Corruption("page payload id list malformed");
+  }
+  out->ids = cur;
+  cur += id_bytes;
+  left -= id_bytes;
+  uint32_t row_count = 0;
+  const uint64_t want_rows = static_cast<uint64_t>(count) * dim;
+  if (!read_u32(&row_count) || row_count != want_rows ||
+      left != want_rows * sizeof(Scalar)) {
+    return Status::Corruption("page payload rows malformed");
+  }
+  out->rows = cur;
+  return Status::OK();
+}
+
 }  // namespace
 
 size_t ObjectsPerPage(size_t page_size_bytes, size_t dim) {
@@ -155,37 +253,19 @@ Status DataLayout::AttachStore(std::shared_ptr<PageFile> store) {
     return Status::InvalidArgument(
         "attach requires a materialized layout (call MaterializeRows)");
   }
-  std::string dir_bytes;
-  MSQ_RETURN_IF_ERROR(store->GetObject("pages", &dir_bytes));
-  std::istringstream dir(dir_bytes);
-  MSQ_RETURN_IF_ERROR(ExpectTag(dir, kPageDirTag, "page directory"));
-  uint32_t version = 0, dim = 0;
-  uint64_t num_pages = 0, total_objects = 0;
-  MSQ_RETURN_IF_ERROR(ReadU32(dir, &version));
-  if (version != kPageDirVersion) {
-    return Status::NotSupported("unsupported page directory version");
-  }
-  MSQ_RETURN_IF_ERROR(ReadU32(dir, &dim));
-  MSQ_RETURN_IF_ERROR(ReadU64(dir, &num_pages));
-  MSQ_RETURN_IF_ERROR(ReadU64(dir, &total_objects));
-  if (dim != dim_ || num_pages != pages_.size() ||
-      total_objects != page_of_.size()) {
+  PageDirectory dir;
+  MSQ_RETURN_IF_ERROR(ReadPageDirectory(*store, &dir));
+  if (dir.dim != dim_ || dir.counts.size() != pages_.size() ||
+      dir.total_objects != page_of_.size()) {
     return Status::Corruption("page directory disagrees with the layout");
   }
-  std::vector<PageFileExtent> extents(num_pages);
-  for (uint64_t p = 0; p < num_pages; ++p) {
-    uint32_t count = 0;
-    MSQ_RETURN_IF_ERROR(ReadU32(dir, &count));
-    if (count != pages_[p].size()) {
+  for (size_t p = 0; p < pages_.size(); ++p) {
+    if (dir.counts[p] != pages_[p].size()) {
       return Status::Corruption("stored page size disagrees with layout");
     }
-    MSQ_RETURN_IF_ERROR(ReadU64(dir, &extents[p].first_block));
-    MSQ_RETURN_IF_ERROR(ReadU32(dir, &extents[p].num_blocks));
-    MSQ_RETURN_IF_ERROR(ReadU32(dir, &extents[p].byte_length));
-    MSQ_RETURN_IF_ERROR(ReadU32(dir, &extents[p].crc));
   }
   store_ = std::move(store);
-  extents_ = std::move(extents);
+  extents_ = std::move(dir.extents);
   loaded_.assign(pages_.size(), 0);
   last_loaded_ = kInvalidPageId;
   for (size_t p = 0; p < pages_.size(); ++p) DropPayload(static_cast<PageId>(p));
@@ -195,72 +275,38 @@ Status DataLayout::AttachStore(std::shared_ptr<PageFile> store) {
 
 Status DataLayout::LoadStoredObjects(const PageFile& store, size_t* dim_out,
                                      std::vector<Vec>* objects) {
-  std::string dir_bytes;
-  MSQ_RETURN_IF_ERROR(store.GetObject("pages", &dir_bytes));
-  std::istringstream dir(dir_bytes);
-  MSQ_RETURN_IF_ERROR(ExpectTag(dir, kPageDirTag, "page directory"));
-  uint32_t version = 0, dim = 0;
-  uint64_t num_pages = 0, total_objects = 0;
-  MSQ_RETURN_IF_ERROR(ReadU32(dir, &version));
-  if (version != kPageDirVersion) {
-    return Status::NotSupported("unsupported page directory version");
-  }
-  MSQ_RETURN_IF_ERROR(ReadU32(dir, &dim));
-  MSQ_RETURN_IF_ERROR(ReadU64(dir, &num_pages));
-  MSQ_RETURN_IF_ERROR(ReadU64(dir, &total_objects));
-  // Pages are non-empty, and object ids are dense u32s; anything else is a
-  // lying directory (the CRC passed, but the content is still validated).
-  if (dim == 0 || total_objects == 0 || num_pages == 0 ||
-      num_pages > total_objects || total_objects >= kInvalidPageId) {
-    return Status::Corruption("page directory counts out of bounds");
-  }
-  objects->assign(static_cast<size_t>(total_objects), Vec());
-  std::vector<uint8_t> seen(static_cast<size_t>(total_objects), 0);
+  PageDirectory dir;
+  MSQ_RETURN_IF_ERROR(ReadPageDirectory(store, &dir));
+  const size_t dim = dir.dim;
+  const size_t total = static_cast<size_t>(dir.total_objects);
+  objects->assign(total, Vec());
+  std::vector<uint8_t> seen(total, 0);
   uint64_t objects_seen = 0;
-  for (uint64_t p = 0; p < num_pages; ++p) {
-    uint32_t count = 0;
-    PageFileExtent extent;
-    MSQ_RETURN_IF_ERROR(ReadU32(dir, &count));
-    MSQ_RETURN_IF_ERROR(ReadU64(dir, &extent.first_block));
-    MSQ_RETURN_IF_ERROR(ReadU32(dir, &extent.num_blocks));
-    MSQ_RETURN_IF_ERROR(ReadU32(dir, &extent.byte_length));
-    MSQ_RETURN_IF_ERROR(ReadU32(dir, &extent.crc));
-    if (count == 0) return Status::Corruption("empty stored page");
+  std::vector<ObjectId> ids;
+  std::vector<Scalar> rows;
+  for (size_t p = 0; p < dir.counts.size(); ++p) {
+    const size_t count = dir.counts[p];
     std::string bytes;
-    MSQ_RETURN_IF_ERROR(store.ReadExtent(extent, &bytes));
-    std::istringstream pin(bytes);
-    MSQ_RETURN_IF_ERROR(ExpectTag(pin, kPageTag, "page payload"));
-    uint32_t stored_page = 0, pdim = 0;
-    MSQ_RETURN_IF_ERROR(ReadU32(pin, &stored_page));
-    MSQ_RETURN_IF_ERROR(ReadU32(pin, &pdim));
-    if (stored_page != p || pdim != dim) {
-      return Status::Corruption("page payload disagrees with directory");
-    }
-    std::vector<ObjectId> ids;
-    std::vector<Scalar> rows;
-    MSQ_RETURN_IF_ERROR(ReadVector(pin, &ids));
-    MSQ_RETURN_IF_ERROR(ReadVector(pin, &rows));
-    if (ids.size() != count ||
-        rows.size() != static_cast<uint64_t>(count) * dim ||
-        pin.peek() != std::istringstream::traits_type::eof()) {
-      return Status::Corruption("page payload malformed");
-    }
-    for (size_t i = 0; i < ids.size(); ++i) {
+    MSQ_RETURN_IF_ERROR(store.ReadExtent(dir.extents[p], &bytes));
+    PagePayload payload;
+    MSQ_RETURN_IF_ERROR(DecodePagePayload(bytes, p, dim, count, &payload));
+    ids.resize(count);
+    rows.resize(count * dim);
+    std::memcpy(ids.data(), payload.ids, ids.size() * sizeof(ObjectId));
+    std::memcpy(rows.data(), payload.rows, rows.size() * sizeof(Scalar));
+    for (size_t i = 0; i < count; ++i) {
       const ObjectId id = ids[i];
-      if (id >= total_objects || seen[id]) {
+      if (id >= total || seen[id]) {
         return Status::Corruption("object id out of range or duplicated");
       }
       seen[id] = 1;
       (*objects)[id].assign(rows.begin() + i * dim,
                             rows.begin() + (i + 1) * dim);
     }
-    objects_seen += ids.size();
+    objects_seen += count;
   }
-  if (objects_seen != total_objects) {
+  if (objects_seen != total) {
     return Status::Corruption("stored pages do not cover every object");
-  }
-  if (dir.peek() != std::istringstream::traits_type::eof()) {
-    return Status::Corruption("trailing bytes after page directory");
   }
   *dim_out = dim;
   return Status::OK();
@@ -270,43 +316,16 @@ Status DataLayout::EnsurePageLoaded(PageId page) {
   if (loaded_[page]) return Status::OK();
   std::string bytes;
   MSQ_RETURN_IF_ERROR(store_->ReadExtent(extents_[page], &bytes));
-  const char* cur = bytes.data();
-  size_t left = bytes.size();
-  const auto read_u32 = [&cur, &left](uint32_t* v) {
-    if (left < sizeof(*v)) return false;
-    std::memcpy(v, cur, sizeof(*v));
-    cur += sizeof(*v);
-    left -= sizeof(*v);
-    return true;
-  };
-  uint32_t tag = 0, stored_page = 0, dim = 0, id_count = 0;
-  if (!read_u32(&tag) || tag != kPageTag) {
-    return Status::Corruption("bad page payload tag");
-  }
-  if (!read_u32(&stored_page) || stored_page != page) {
-    return Status::Corruption("page payload id mismatch");
-  }
-  if (!read_u32(&dim) || dim != dim_) {
-    return Status::Corruption("page payload dimensionality mismatch");
-  }
   const std::vector<ObjectId>& ids = pages_[page];
-  if (!read_u32(&id_count) || id_count != ids.size() ||
-      left < id_count * sizeof(ObjectId)) {
-    return Status::Corruption("page payload id list malformed");
-  }
-  if (std::memcmp(cur, ids.data(), id_count * sizeof(ObjectId)) != 0) {
+  PagePayload payload;
+  MSQ_RETURN_IF_ERROR(
+      DecodePagePayload(bytes, page, dim_, ids.size(), &payload));
+  if (std::memcmp(payload.ids, ids.data(), ids.size() * sizeof(ObjectId)) !=
+      0) {
     return Status::Corruption("page payload ids disagree with layout");
   }
-  cur += id_count * sizeof(ObjectId);
-  left -= id_count * sizeof(ObjectId);
-  uint32_t row_count = 0;
-  const uint64_t want_rows = static_cast<uint64_t>(ids.size()) * dim_;
-  if (!read_u32(&row_count) || row_count != want_rows ||
-      left != want_rows * sizeof(Scalar)) {
-    return Status::Corruption("page payload rows malformed");
-  }
-  std::vector<Scalar> rows(static_cast<size_t>(want_rows));
-  std::memcpy(rows.data(), cur, left);
+  std::vector<Scalar> rows(ids.size() * dim_);
+  std::memcpy(rows.data(), payload.rows, rows.size() * sizeof(Scalar));
   tile_data_[page] = MakeVecBlockTiles(rows.data(), dim_, ids.size());
   row_data_[page] = std::move(rows);
   loaded_[page] = 1;

@@ -70,11 +70,11 @@ TEST(KnnGraphTest, SingleAndMultipleModesAgree) {
   Dataset dataset = MakeGaussianClustersDataset(350, 4, 3, 0.04, 1305);
   KnnGraphParams params;
   params.k = 4;
-  params.use_multiple = false;
+  params.batch_size = 1;
   auto db_single = OpenDb(dataset);
   auto single = BuildKnnGraph(db_single.get(), params);
   ASSERT_TRUE(single.ok());
-  params.use_multiple = true;
+  params.batch_size = 64;
   auto db_multi = OpenDb(dataset);
   auto multi = BuildKnnGraph(db_multi.get(), params);
   ASSERT_TRUE(multi.ok());

@@ -78,8 +78,7 @@ TEST(ExploreTest, SingleAndMultipleFormsVisitSameObjects) {
     };
     ExploreOptions options;
     options.query_type = QueryType::Range(0.08);
-    options.use_multiple = (mode == 1);
-    options.batch_size = 8;
+    options.batch_size = mode == 0 ? 1 : 8;
     ASSERT_TRUE(ExploreNeighborhoods(db.get(), {5}, options, callbacks).ok());
   }
   EXPECT_EQ(visits[0], visits[1]);
@@ -214,11 +213,11 @@ TEST(DbscanTest, SingleAndMultipleModesProduceIdenticalClusterings) {
   DbscanParams params;
   params.eps = 0.08;
   params.min_pts = 4;
-  params.use_multiple = false;
+  params.batch_size = 1;
   auto db_single = OpenDb(dataset);
   auto single = RunDbscan(db_single.get(), params);
   ASSERT_TRUE(single.ok());
-  params.use_multiple = true;
+  params.batch_size = 32;
   auto db_multi = OpenDb(dataset);
   auto multi = RunDbscan(db_multi.get(), params);
   ASSERT_TRUE(multi.ok());
@@ -325,11 +324,11 @@ TEST(KnnClassifierTest, SingleAndMultipleModesAgree) {
   }
   KnnClassifierParams params;
   params.k = 7;
-  params.use_multiple = false;
+  params.batch_size = 1;
   auto db_single = OpenDb(dataset);
   auto single = ClassifyObjects(db_single.get(), to_classify, params);
   ASSERT_TRUE(single.ok());
-  params.use_multiple = true;
+  params.batch_size = 32;
   auto db_multi = OpenDb(dataset);
   auto multi = ClassifyObjects(db_multi.get(), to_classify, params);
   ASSERT_TRUE(multi.ok());
@@ -358,11 +357,11 @@ TEST(ExplorationSimTest, SingleAndMultipleVisitSamePositions) {
   params.k = 6;
   params.num_rounds = 2;
   params.seed = 99;
-  params.use_multiple = false;
+  params.batch_size = 1;
   auto db_single = OpenDb(dataset);
   auto single = RunExplorationSim(db_single.get(), params);
   ASSERT_TRUE(single.ok());
-  params.use_multiple = true;
+  params.batch_size = ExplorationSimParams().batch_size;
   auto db_multi = OpenDb(dataset);
   auto multi = RunExplorationSim(db_multi.get(), params);
   ASSERT_TRUE(multi.ok());
@@ -437,11 +436,11 @@ TEST(ProximityTest, SingleAndMultipleModesAgree) {
   }
   ProximityParams params;
   params.top_k = 10;
-  params.use_multiple = false;
+  params.batch_size = 1;
   auto db_single = OpenDb(dataset);
   auto single = AnalyzeProximity(db_single.get(), cluster, params);
   ASSERT_TRUE(single.ok());
-  params.use_multiple = true;
+  params.batch_size = 32;
   auto db_multi = OpenDb(dataset);
   auto multi = AnalyzeProximity(db_multi.get(), cluster, params);
   ASSERT_TRUE(multi.ok());
@@ -517,11 +516,11 @@ TEST(TrendTest, SingleAndMultipleModesAgree) {
   TrendParams params;
   params.attribute_dim = 1;
   params.seed = 7;
-  params.use_multiple = false;
+  params.batch_size = 1;
   auto db_single = OpenDb(dataset);
   auto single = DetectTrend(db_single.get(), 3, params);
   ASSERT_TRUE(single.ok());
-  params.use_multiple = true;
+  params.batch_size = 32;
   auto db_multi = OpenDb(dataset);
   auto multi = DetectTrend(db_multi.get(), 3, params);
   ASSERT_TRUE(multi.ok());
@@ -586,11 +585,11 @@ TEST(AssociationTest, SingleAndMultipleModesAgree) {
   params.eps = 0.1;
   params.min_confidence = 0.1;
   params.min_support = 0.01;
-  params.use_multiple = false;
+  params.batch_size = 1;
   auto db_single = OpenDb(dataset);
   auto single = MineNeighborhoodRules(db_single.get(), params);
   ASSERT_TRUE(single.ok());
-  params.use_multiple = true;
+  params.batch_size = 32;
   auto db_multi = OpenDb(dataset);
   auto multi = MineNeighborhoodRules(db_multi.get(), params);
   ASSERT_TRUE(multi.ok());

@@ -705,5 +705,105 @@ TEST(QueryDistanceCacheTest, CompactionPreservesDistances) {
   EXPECT_LE(cache.size(), 9u);
 }
 
+// ---------------------------------------------------------------------
+// MetricDatabase::AnswerInBatches: the one batch driver
+// ---------------------------------------------------------------------
+
+// Scan database with no metrics sink, so QueryStats holds counters only
+// (the attr_* wall times stay zero) and two runs compare exactly.
+std::unique_ptr<MetricDatabase> OpenUnmeteredDb(uint64_t seed,
+                                                size_t max_batch_size) {
+  MultiQueryOptions multi;
+  multi.metrics = nullptr;
+  multi.max_batch_size = max_batch_size;
+  return OpenScanDb(MakeGaussianClustersDataset(400, 4, 5, 0.05, seed), multi);
+}
+
+void ExpectSameStats(const QueryStats& a, const QueryStats& b) {
+  EXPECT_EQ(a.ToString(), b.ToString());
+  EXPECT_EQ(a.attr_window_micros, b.attr_window_micros);
+  EXPECT_EQ(a.attr_page_io_micros, b.attr_page_io_micros);
+  EXPECT_EQ(a.attr_kernel_micros, b.attr_kernel_micros);
+  EXPECT_EQ(a.attr_matrix_micros, b.attr_matrix_micros);
+}
+
+TEST(AnswerInBatchesTest, BatchSizeOneIsTheSingleQueryLoop) {
+  auto loop_db = OpenUnmeteredDb(331, 4);
+  auto driver_db = OpenUnmeteredDb(331, 4);
+  // Object kNN and range queries, one of them repeated: the single form
+  // must not answer the repeat from a buffer the way an engine call could.
+  std::vector<Query> queries = RandomObjectKnnBatch(loop_db.get(), 9, 5, 93);
+  queries.push_back(loop_db->MakeObjectRangeQuery(17, 0.1));
+  queries.push_back(queries.front());
+
+  std::vector<AnswerSet> expected;
+  for (const Query& q : queries) {
+    auto got = loop_db->SimilarityQuery(q);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    expected.push_back(*got);
+  }
+  auto answers = driver_db->AnswerInBatches(queries, 1);
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  ASSERT_EQ(answers->size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_TRUE(SameAnswers((*answers)[i], expected[i], 0.0)) << i;
+  }
+  ExpectSameStats(driver_db->stats(), loop_db->stats());
+}
+
+TEST(AnswerInBatchesTest, OversizedBatchSplitsIntoEngineBlocks) {
+  auto blocks_db = OpenUnmeteredDb(333, 4);
+  auto driver_db = OpenUnmeteredDb(333, 4);
+  const auto queries = RandomObjectKnnBatch(driver_db.get(), 11, 6, 95);
+  // One engine call cannot take the whole list ...
+  EXPECT_TRUE(driver_db->MultipleSimilarityQueryAll(queries)
+                  .status()
+                  .IsResourceExhausted());
+  driver_db->ResetAll();
+  // ... the driver runs it as blocks of max_batch_size = 4.
+  auto answers = driver_db->AnswerInBatches(queries, 100);
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  ASSERT_EQ(answers->size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_TRUE(SameAnswers((*answers)[i],
+                            BruteForceQuery(driver_db->dataset(),
+                                            driver_db->metric(), queries[i])))
+        << i;
+  }
+  for (size_t begin = 0; begin < queries.size(); begin += 4) {
+    const std::vector<Query> block(
+        queries.begin() + static_cast<ptrdiff_t>(begin),
+        queries.begin() +
+            static_cast<ptrdiff_t>(std::min(queries.size(), begin + 4)));
+    ASSERT_TRUE(blocks_db->MultipleSimilarityQueryAll(block).ok());
+  }
+  ExpectSameStats(driver_db->stats(), blocks_db->stats());
+}
+
+TEST(AnswerInBatchesTest, ZeroBatchSizeRejected) {
+  auto db = OpenUnmeteredDb(335, 4);
+  const auto queries = RandomObjectKnnBatch(db.get(), 3, 2, 97);
+  EXPECT_TRUE(db->AnswerInBatches(queries, 0).status().IsInvalidArgument());
+  EXPECT_TRUE(db->AnswerInBatches({}, 0).status().IsInvalidArgument());
+  EXPECT_EQ(db->stats().queries_completed, 0u);
+  auto empty = db->AnswerInBatches({}, 8);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
+}
+
+TEST(AnswerInBatchesTest, BadQueryInLaterBlockReturnsThatBlocksStatus) {
+  for (const size_t batch_size : {size_t{1}, size_t{4}}) {
+    auto db = OpenUnmeteredDb(337, 4);
+    auto queries = RandomObjectKnnBatch(db.get(), 10, 3, 99);
+    queries[9] = Query{queries[9].id, Vec{}, QueryType::Knn(3)};
+    auto got = db->AnswerInBatches(queries, batch_size);
+    EXPECT_TRUE(got.status().IsInvalidArgument()) << batch_size;
+    EXPECT_EQ(got.status().message(), "query point is empty") << batch_size;
+    // Every query before the failing call completed: the first nine one
+    // by one, or the two full blocks of four before the last block.
+    EXPECT_EQ(db->stats().queries_completed, batch_size == 1 ? 9u : 8u);
+  }
+}
+
 }  // namespace
 }  // namespace msq

@@ -121,11 +121,11 @@ TEST(OpticsTest, SingleAndMultipleModesProduceIdenticalOrderings) {
   OpticsParams params;
   params.eps = 0.15;
   params.min_pts = 4;
-  params.use_multiple = false;
+  params.batch_size = 1;
   auto db_single = OpenDb(dataset);
   auto single = RunOptics(db_single.get(), params);
   ASSERT_TRUE(single.ok());
-  params.use_multiple = true;
+  params.batch_size = 32;
   auto db_multi = OpenDb(dataset);
   auto multi = RunOptics(db_multi.get(), params);
   ASSERT_TRUE(multi.ok());
@@ -199,11 +199,11 @@ TEST(SimilarityJoinTest, SingleAndMultipleModesAgree) {
   Dataset dataset = MakeUniformDataset(300, 4, 1215);
   SimilarityJoinParams params;
   params.eps = 0.25;
-  params.use_multiple = false;
+  params.batch_size = 1;
   auto db_single = OpenDb(dataset);
   auto single = SimilaritySelfJoin(db_single.get(), params);
   ASSERT_TRUE(single.ok());
-  params.use_multiple = true;
+  params.batch_size = 64;
   auto db_multi = OpenDb(dataset);
   auto multi = SimilaritySelfJoin(db_multi.get(), params);
   ASSERT_TRUE(multi.ok());
